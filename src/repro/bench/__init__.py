@@ -12,8 +12,8 @@ from .kernels import KERNELS, run_kernel, run_kernels
 from .report import (
     DEFAULT_EXECUTION, REGRESSION_THRESHOLD, SCHEMA_VERSION,
     SPEEDUP_FLOORS, build_report, check_floors, compare_reports,
-    context_fingerprint, load_report, render_report, report_results,
-    write_report,
+    comparison_skip_note, context_fingerprint, load_report, render_report,
+    report_results, write_report,
 )
 
 __all__ = [
@@ -21,5 +21,6 @@ __all__ = [
     "run_kernels", "DEFAULT_EXECUTION", "SCHEMA_VERSION",
     "REGRESSION_THRESHOLD", "SPEEDUP_FLOORS", "build_report",
     "report_results", "write_report", "load_report", "check_floors",
-    "compare_reports", "context_fingerprint", "render_report",
+    "compare_reports", "comparison_skip_note", "context_fingerprint",
+    "render_report",
 ]

@@ -6,7 +6,8 @@ A report is a JSON document::
       "schema_version": 1,
       "quick": false,
       "context": {"python": "...", "implementation": "...",
-                  "platform": "...", "machine": "..."},
+                  "platform": "...", "machine": "...",
+                  "cpu_model": "...", "cores": 2},
       "execution": {"pool": "serial", "workers": 1},
       "kernels": {"minisim": {"name": ..., "times_s": [...],
                               "median_s": ..., "meta": {...}}, ...}
@@ -32,14 +33,16 @@ Two kinds of guard run over a report:
   the retained array-of-structs implementations.
 * **Regression comparison** against a baseline report flags any kernel
   whose median slowed by more than :data:`REGRESSION_THRESHOLD`.
-  Absolute timings only transfer between matching hosts, so the
-  comparison is skipped (with a note) when the context fingerprints
-  differ.
+  Absolute timings only transfer between matching host classes -- the
+  same CPU model and usable core count as well as the same interpreter
+  -- so the comparison is skipped, with the note from
+  :func:`comparison_skip_note`, when the context fingerprints differ.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import platform
 import sys
 from typing import Any, Dict, List, Optional
@@ -65,14 +68,34 @@ SPEEDUP_FLOORS: Dict[str, float] = {
 DEFAULT_EXECUTION: Dict[str, Any] = {"pool": "serial", "workers": 1}
 
 
-def context_fingerprint() -> Dict[str, str]:
-    """Where these timings were taken (absolute times only compare
-    within one fingerprint)."""
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not Linux
+        return os.cpu_count() or 1
+
+
+def context_fingerprint() -> Dict[str, Any]:
+    """The host class these timings were taken on (absolute times only
+    compare within one fingerprint)."""
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": sys.platform,
         "machine": platform.machine(),
+        "cpu_model": _cpu_model(),
+        "cores": _usable_cores(),
     }
 
 
@@ -133,6 +156,25 @@ def check_floors(report: Dict[str, Any]) -> List[str]:
     return failures
 
 
+def comparison_skip_note(current: Dict[str, Any],
+                         baseline: Dict[str, Any]) -> Optional[str]:
+    """Why ``baseline``'s absolute medians do not apply to ``current``,
+    or ``None`` when they do."""
+    if baseline.get("context") != current.get("context"):
+        base = baseline.get("context", {})
+        here = current.get("context", {})
+        keys = sorted(key for key in set(base) | set(here)
+                      if base.get(key) != here.get(key))
+        return (f"baseline taken on another host class "
+                f"({', '.join(keys)} differ)")
+    if baseline.get("quick") != current.get("quick"):
+        return "baseline used other kernel input sizes (--quick differs)"
+    if baseline.get("execution", DEFAULT_EXECUTION) \
+            != current.get("execution", DEFAULT_EXECUTION):
+        return "baseline ran under another execution backend"
+    return None
+
+
 def compare_reports(current: Dict[str, Any],
                     baseline: Optional[Dict[str, Any]],
                     threshold: float = REGRESSION_THRESHOLD
@@ -141,19 +183,11 @@ def compare_reports(current: Dict[str, Any],
 
     Returns a list of human-readable failure strings; an empty list
     means the check passed.  Speedup floors are always enforced; median
-    comparisons additionally require a baseline with a matching context
-    fingerprint.
+    comparisons additionally require a baseline of the same host class,
+    kernel sizes and execution backend (see :func:`comparison_skip_note`).
     """
     failures = list(check_floors(current))
-    if baseline is None:
-        return failures
-    if baseline.get("context") != current.get("context") \
-            or baseline.get("quick") != current.get("quick") \
-            or baseline.get("execution", DEFAULT_EXECUTION) \
-            != current.get("execution", DEFAULT_EXECUTION):
-        # Different host/interpreter, kernel input sizes, or execution
-        # backend (pool kind / worker count): absolute medians don't
-        # transfer.  Speedup floors still apply.
+    if baseline is None or comparison_skip_note(current, baseline):
         return failures
     base_kernels = baseline.get("kernels", {})
     for name, payload in current.get("kernels", {}).items():

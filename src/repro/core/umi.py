@@ -90,27 +90,12 @@ class UMIResult:
         }
 
 
-class _UMIHooks(RuntimeHooks):
-    """Adapter routing DynamoSim events into the UMI runtime."""
+class UMIRuntime(RuntimeHooks):
+    """Runs one program under DynamoSim + UMI on a modelled machine.
 
-    def __init__(self, umi: "UMIRuntime") -> None:
-        self._umi = umi
-
-    def trace_created(self, trace: Trace) -> None:
-        self._umi._on_trace_created(trace)
-
-    def trace_entered(self, trace: Trace) -> None:
-        self._umi._on_trace_entered(trace)
-
-    def trace_exited(self, trace: Trace) -> None:
-        self._umi._on_trace_exited(trace)
-
-    def timer_sample(self, trace: Optional[Trace]) -> None:
-        self._umi._on_timer_sample(trace)
-
-
-class UMIRuntime:
-    """Runs one program under DynamoSim + UMI on a modelled machine."""
+    The runtime is its own :class:`~repro.vm.runtime.RuntimeHooks`:
+    DynamoSim calls its trace and timer handlers directly.
+    """
 
     def __init__(
         self,
@@ -142,7 +127,7 @@ class UMIRuntime:
         self._stream = stream
         self.dynamo = DynamoSim(
             program, hierarchy, config=rc, cost_model=cost_model,
-            hooks=_UMIHooks(self), stream=stream,
+            hooks=self, stream=stream,
         )
         state = self.dynamo.state
         self.instrumentor = Instrumentor(self.config, cost_model, state)
@@ -224,11 +209,11 @@ class UMIRuntime:
 
     # -- region selection ------------------------------------------------------------
 
-    def _on_trace_created(self, trace: Trace) -> None:
+    def trace_created(self, trace: Trace) -> None:
         if not self.config.use_sampling:
             self._instrument_trace(trace)
 
-    def _on_timer_sample(self, trace: Optional[Trace]) -> None:
+    def timer_sample(self, trace: Optional[Trace]) -> None:
         """One PC-sampling tick: credit the trace the PC fell in.
 
         "With each sample, the program counter is inspected to determine
@@ -267,7 +252,7 @@ class UMIRuntime:
 
     # -- the instrumented-trace prolog/epilog -----------------------------------------
 
-    def _on_trace_entered(self, trace: Trace) -> None:
+    def trace_entered(self, trace: Trace) -> None:
         if not trace.instrumented:
             # Event-driven region selection: every Nth entry of a trace
             # counts as one sample toward its frequency threshold.
@@ -303,7 +288,7 @@ class UMIRuntime:
                                   labels=self._telemetry_labels)
             self._trigger_on_exit = True
 
-    def _on_trace_exited(self, trace: Trace) -> None:
+    def trace_exited(self, trace: Trace) -> None:
         if self._entered_trace is not trace:
             return
         interp = self.dynamo.interp

@@ -331,8 +331,8 @@ def main(argv=None) -> int:
 def _run_bench(args, parser) -> int:
     """The ``bench`` subcommand: run kernels, report, check, write."""
     from repro.bench import (
-        KERNELS, build_report, compare_reports, load_report,
-        render_report, run_kernels, write_report,
+        KERNELS, build_report, compare_reports, comparison_skip_note,
+        load_report, render_report, run_kernels, write_report,
     )
 
     names = None
@@ -382,13 +382,20 @@ def _run_bench(args, parser) -> int:
     print(f"[report written to {args.output}]")
 
     if args.check:
+        note = (comparison_skip_note(report, baseline)
+                if baseline is not None else None)
+        if note is not None:
+            print(f"[bench check: medians not compared with "
+                  f"{baseline_path}: {note}; speedup floors still "
+                  f"enforced]")
         failures = compare_reports(report, baseline)
         if failures:
             print("bench check FAILED:")
             for failure in failures:
                 print(f"  {failure}")
             return 1
-        against = f" vs {baseline_path}" if baseline is not None else ""
+        against = (f" vs {baseline_path}"
+                   if baseline is not None and note is None else "")
         print(f"[bench check passed{against}]")
     return 0
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress, repeat
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .lines import CacheLine
 from .policies import (
@@ -168,6 +168,31 @@ class CacheStats:
             setattr(self, field, 0)
 
 
+class HitLane(NamedTuple):
+    """Live array-engine state an inlined demand hit touches.
+
+    Handed out by :meth:`Cache.hit_lane`.  For a resident line at
+    ``slot = where[line_addr]`` with ``ready[slot] <= now`` and
+    ``pref[slot]`` clear, a :meth:`Cache.probe` hit does exactly this:
+    count the read or write in ``stats``, set ``dirty[slot]`` on a
+    write and, with ``touch``, store ``now`` in ``stamps[slot]`` (and
+    set ``mru[slot]`` under ``plru``).  A caller doing the same has
+    retired the hit, at ``hit_latency`` cycles.
+    """
+
+    where: Dict[int, int]
+    stamps: List[int]
+    ready: List[int]
+    pref: List[bool]
+    dirty: List[bool]
+    mru: List[bool]
+    stats: CacheStats
+    touch: bool
+    plru: bool
+    line_bits: int
+    hit_latency: int
+
+
 # Policies the array engine can execute directly.  Exact-type checks on
 # purpose: a subclass may override hooks in ways the flat loops don't
 # replicate, so it falls back to the dict engine.
@@ -227,6 +252,22 @@ class Cache:
             CacheConfig(size, assoc, line_size, hit_latency),
             make_policy(policy),
         )
+
+    def hit_lane(self) -> Optional[HitLane]:
+        """The array engine's per-slot state for callers that retire
+        hits inline (see :class:`HitLane`), or ``None`` on the dict
+        engine.
+
+        The lane's columns and map are never rebound, so it stays live
+        for the cache's lifetime.  The holder may retire writes, so the
+        write-free ``_plain`` fast path is given up here, once.
+        """
+        if not self._fast:
+            return None
+        self._plain = False
+        return HitLane(self._where, self._stamps, self._ready, self._pref,
+                       self._dirty, self._mru, self.stats, self._touch,
+                       self._plru, self._line_bits, self.config.hit_latency)
 
     # -- address helpers ----------------------------------------------------
 
@@ -860,33 +901,7 @@ class Cache:
         for cache_set in self._sets:
             cache_set.clear()
 
-    # -- replacement-state snapshots (analyzer memoization) ------------------
-
-    def state_snapshot(self):
-        """Copy of the full replacement state, or ``None`` if the dict
-        engine is active.  Stats are *not* included -- callers that
-        restore a snapshot account for stats separately (the analyzer
-        replays a stats delta).
-        """
-        if not self._fast:
-            return None
-        return (
-            list(self._tags), list(self._stamps), list(self._order),
-            list(self._ready), list(self._pref), list(self._dirty),
-            list(self._mru), dict(self._where), list(self._set_len),
-            self._fill_seq, self._plain, self._plain_timing,
-        )
-
-    def state_restore(self, snapshot) -> None:
-        """Reinstate a :meth:`state_snapshot` copy (fast engine only)."""
-        (self._tags, self._stamps, self._order, self._ready, self._pref,
-         self._dirty, self._mru, self._where, self._set_len,
-         self._fill_seq, self._plain, self._plain_timing) = (
-            list(snapshot[0]), list(snapshot[1]), list(snapshot[2]),
-            list(snapshot[3]), list(snapshot[4]), list(snapshot[5]),
-            list(snapshot[6]), dict(snapshot[7]), list(snapshot[8]),
-            snapshot[9], snapshot[10], snapshot[11],
-        )
+    # -- replacement-state deltas (analyzer memoization) ---------------------
 
     def state_pre_capture(self):
         """Residency baseline for a later :meth:`state_delta_for`."""

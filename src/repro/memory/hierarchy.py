@@ -104,6 +104,9 @@ class MemoryHierarchy:
                            stream.l2_hits.append)
         self._line_bits = config.l1.line_bits
         self._line_size = config.l1.line_size
+        # Inlined L1 hit lanes (``None`` on the dict engine).
+        self._l1_lane = self.l1.hit_lane()
+        self._l1i_lane = self.l1i.hit_lane() if self.l1i else None
         self.sw_prefetches_issued = 0
         # Per-PC L2 accounting, filled only when enabled (the Cachegrind
         # baseline and delinquent-load ground truth need it).
@@ -121,15 +124,65 @@ class MemoryHierarchy:
         paper notes hardware/simulator mismatches around values that
         "cross multiple cache lines" -- here they simply cost two line
         accesses).
+
+        A single-line reference that hits an array-engine L1D with no
+        stall or prefetch credit due and no TLB attached retires inline;
+        everything else takes the :meth:`_access_line` path, which is
+        the reference for that lane.
         """
-        first_line = addr >> self._line_bits
-        last_line = (addr + size - 1) >> self._line_bits
+        line_bits = self._line_bits
+        first_line = addr >> line_bits
+        last_line = (addr + size - 1) >> line_bits
+        lane = self._l1_lane
+        if lane is not None and first_line == last_line and self.tlb is None:
+            (where, stamps, ready, pref, dirty, mru, stats, touch, plru,
+             _, hit_latency) = lane
+            slot = where.get(first_line)
+            if slot is not None and ready[slot] <= now and not pref[slot]:
+                if is_write:
+                    stats.writes += 1
+                    dirty[slot] = True
+                else:
+                    stats.reads += 1
+                if touch:
+                    stamps[slot] = now
+                    if plru:
+                        mru[slot] = True
+                stream = self.line_stream
+                if stream.consumers:
+                    e_pc, e_line, e_write, e_h1, e_h2 = self._emit_line
+                    e_pc(pc)
+                    e_line(first_line)
+                    e_write(is_write)
+                    e_h1(True)
+                    e_h2(True)
+                    if len(stream.pcs) >= stream.batch_size:
+                        stream.drain()
+                return hit_latency
         latency = 0
         if self.tlb is not None:
             latency += self.tlb.translate(addr)
         for line_addr in range(first_line, last_line + 1):
             latency += self._access_line(pc, line_addr, is_write, now)
         return latency
+
+    def l1_hit_lane(self):
+        """The L1D :class:`~repro.memory.cache.HitLane` when a caller may
+        retire single-line L1 hits itself, else ``None``.
+
+        Eligible while the L1D runs the array engine and has only ever
+        seen plain fills (``_plain_timing``: every ready time is 0 and
+        no line is prefetched, so a hit at ``now >= 0`` never stalls),
+        no TLB is attached, and nothing consumes the line stream (a
+        retired hit emits no line event).  Consumers and TLBs may attach
+        at any time, so callers ask again before each batch of work.
+        """
+        lane = self._l1_lane
+        if (lane is None or self.tlb is not None
+                or self.line_stream.consumers
+                or not self.l1._plain_timing):
+            return None
+        return lane
 
     def _access_line(self, pc: int, line_addr: int, is_write: bool,
                      now: int) -> int:
@@ -181,12 +234,28 @@ class MemoryHierarchy:
         block's code footprint).  Returns the fetch latency.  Instruction
         traffic lands in the L2's demand statistics -- what the hardware
         counters see -- but is invisible to the data-only simulators.
+        Array-engine L1I hits retire inline; :meth:`Cache.probe` is the
+        reference for that lane.
         """
         l1i = self.l1i
         if l1i is None:
             return 0
+        lane = self._l1i_lane
+        if lane is not None:
+            (where, stamps, ready, pref, _, mru, stats, touch, plru,
+             _, _) = lane
         latency = 0
         for line_addr in code_lines:
+            if lane is not None:
+                slot = where.get(line_addr)
+                if slot is not None and ready[slot] <= now \
+                        and not pref[slot]:
+                    stats.reads += 1
+                    if touch:
+                        stamps[slot] = now
+                        if plru:
+                            mru[slot] = True
+                    continue
             hit, _ = l1i.probe(line_addr, False, now)
             if hit:
                 continue

@@ -5,7 +5,9 @@ sending every data reference to the memory hierarchy (which returns its
 latency) and optionally emitting it into a batched
 :class:`repro.stream.RefStream` -- the canonical reference stream every
 other analysis (Cachegrind, trace recording, shadow hierarchies...)
-consumes.
+consumes.  Loads and stores that hit L1 retire inline when the
+hierarchy allows it (:meth:`MemoryHierarchy.l1_hit_lane`); only misses
+and line-straddling references then reach ``memsys.access``.
 
 The interpreter also carries the *instrumentation context* used when a
 UMI-instrumented trace is executing: ``profile_cols`` maps instrumented
@@ -87,6 +89,9 @@ class Interpreter:
         # Instruction fetch modelling: only when the memory system has an
         # instruction cache (FlatMemory and bare caches do not).
         self._models_ifetch = bool(getattr(memsys, "models_ifetch", False))
+        # Inline L1-hit lane source (MemoryHierarchy only; FlatMemory and
+        # bare caches always take ``access``).
+        self._l1_hit_lane = getattr(memsys, "l1_hit_lane", None)
         self._profiled_op_cost = cost_model.profiled_op_cost
         self._sw_prefetch_issue_cost = cost_model.sw_prefetch_issue_cost
 
@@ -217,6 +222,17 @@ class Interpreter:
         flags = state.flags
         steps = 0
         next_label: Optional[str] = None
+        # LOAD/STORE retire single-line L1D hits inline when the
+        # hierarchy allows it; ``access`` is the reference for the lane.
+        # Counters may attach between blocks, so eligibility is per block
+        # (and ``cycles`` only grows inside one, so ``now >= 0`` holds).
+        lane = self._l1_hit_lane
+        lane = lane() if lane is not None and cycles >= 0 else None
+        if lane is not None:
+            (l1_where, l1_stamps, _, _, l1_dirty, l1_mru, l1_stats,
+             l1_touch, l1_plru, line_bits, l1_latency) = lane
+        else:
+            l1_where = None
 
         ops, lines = entry
         if lines is not None:
@@ -245,17 +261,31 @@ class Interpreter:
                 if index is not None:
                     addr += regs[index] * t[7]
                 pc = t[2]
+                size = t[4]
                 if emit_pc is not None:
                     # Pre-access cycle count: the exact `now` the
                     # hierarchy sees, so consumers can replay exactly.
                     emit_pc(pc)
                     emit_addr(addr)
-                    emit_size(t[4])
+                    emit_size(size)
                     emit_kind(0)
                     emit_cycle(cycles)
                     if len(s_pcs) >= s_limit:
                         s_drain()
-                cycles += access(pc, addr, False, t[4], cycles)
+                slot = None
+                if l1_where is not None:
+                    line = addr >> line_bits
+                    if (addr + size - 1) >> line_bits == line:
+                        slot = l1_where.get(line)
+                if slot is None:
+                    cycles += access(pc, addr, False, size, cycles)
+                else:
+                    l1_stats.reads += 1
+                    if l1_touch:
+                        l1_stamps[slot] = cycles
+                        if l1_plru:
+                            l1_mru[slot] = True
+                    cycles += l1_latency
                 regs[t[3]] = memory.get(addr, 0)
                 if profile_cols is not None:
                     col = profile_cols.get(pc)
@@ -278,15 +308,30 @@ class Interpreter:
                 if index is not None:
                     addr += regs[index] * t[8]
                 pc = t[2]
+                size = t[5]
                 if emit_pc is not None:
                     emit_pc(pc)
                     emit_addr(addr)
-                    emit_size(t[5])
+                    emit_size(size)
                     emit_kind(1)
                     emit_cycle(cycles)
                     if len(s_pcs) >= s_limit:
                         s_drain()
-                cycles += access(pc, addr, True, t[5], cycles)
+                slot = None
+                if l1_where is not None:
+                    line = addr >> line_bits
+                    if (addr + size - 1) >> line_bits == line:
+                        slot = l1_where.get(line)
+                if slot is None:
+                    cycles += access(pc, addr, True, size, cycles)
+                else:
+                    l1_stats.writes += 1
+                    l1_dirty[slot] = True
+                    if l1_touch:
+                        l1_stamps[slot] = cycles
+                        if l1_plru:
+                            l1_mru[slot] = True
+                    cycles += l1_latency
                 src = t[3]
                 memory[addr] = regs[src] if src is not None else t[4]
                 if profile_cols is not None:

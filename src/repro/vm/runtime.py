@@ -150,36 +150,90 @@ class DynamoSim:
         return stats
 
     def _run(self) -> RuntimeStats:
+        """The dispatch loop.  Transitions are charged inline, and trace
+        passes run inline too (the body of :meth:`_execute_trace`) with
+        the hooks called directly, since a trace averages barely more
+        than one block per pass."""
         state = self.state
-        config = self.config
+        interp = self.interp
+        execute_decoded = interp.execute_decoded
+        trace_decoded = interp.trace_decoded
+        execute_block = self._execute_block
+        stream = interp.stream
+        traces = self.traces
+        builder = self.builder
+        stats = self.stats
+        linked = self._linked
+        hooks = self.hooks
+        trace_entered = hooks.trace_entered
+        trace_exited = hooks.trace_exited
+        model = self.cost_model
+        dispatch_cost = model.dispatch_cost
+        indirect_lookup_cost = model.indirect_lookup_cost
+        discount = model.trace_branch_discount
+        period = self.config.sample_period
+        next_sample = self._next_sample
+        max_steps = self.config.max_steps
         label: Optional[str] = self.program.entry
         prev_label: Optional[str] = None
         prev_indirect = False
         last_trace: Optional[Trace] = None
-        max_steps = config.max_steps
 
         while label is not None:
-            trace = self.traces.get(label) if not self.builder.recording else None
-            if trace is not None:
-                self._charge_transition(prev_label, label, prev_indirect)
-                prev_label = label
-                label = self._execute_trace(trace)
-                prev_indirect = self.interp.last_terminator_op in (SWITCH, RET)
-                last_trace = trace
-            else:
-                self._charge_transition(prev_label, label, prev_indirect)
-                prev_label = label
-                label = self._execute_block(label)
-                prev_indirect = self.interp.last_terminator_op in (SWITCH, RET)
-                last_trace = None
+            if prev_label is None:
+                state.cycles += dispatch_cost
+                stats.dispatches += 1
+            elif prev_indirect:
+                state.cycles += indirect_lookup_cost
+                stats.indirect_lookups += 1
+            elif (prev_label, label) not in linked:
+                # First direct transition goes through the dispatcher,
+                # which then links the two fragments; later ones are free.
+                state.cycles += dispatch_cost
+                stats.dispatches += 1
+                linked.add((prev_label, label))
+            prev_label = label
 
-            if self._next_sample is not None and state.cycles >= self._next_sample:
-                period = config.sample_period
-                while state.cycles >= self._next_sample:
-                    self._next_sample += period
-                    self.stats.timer_samples += 1
-                    state.cycles += self.cost_model.sample_interrupt_cost
-                    self.hooks.timer_sample(last_trace)
+            trace = (traces.get(label) if builder.recording_head is None
+                     else None)
+            if trace is None:
+                label = execute_block(label)
+            else:
+                trace.entries += 1
+                stats.trace_entries += 1
+                steps_before = state.steps
+                if stream is not None:
+                    stream.trace_id = f"{trace.head}@{trace.entries}"
+                trace_entered(trace)
+                if trace.prefetch_map:
+                    interp.prefetch_map = trace.prefetch_map
+                labels = trace.block_labels
+                n = len(labels)
+                decoded = trace_decoded(trace.head, labels)
+                i = 0
+                while True:
+                    label = execute_decoded(decoded[i])
+                    i += 1
+                    if label is None or i == n or label != labels[i]:
+                        break
+                    # Stayed on the trace: the stitched fragment elides
+                    # this branch/layout cost.
+                    state.cycles -= discount
+                interp.prefetch_map = None
+                if stream is not None:
+                    stream.trace_id = None
+                trace_exited(trace)
+                stats.steps_in_traces += state.steps - steps_before
+            last_trace = trace
+            prev_indirect = interp.last_terminator_op in (SWITCH, RET)
+
+            if next_sample is not None and state.cycles >= next_sample:
+                while state.cycles >= next_sample:
+                    next_sample += period
+                    stats.timer_samples += 1
+                    state.cycles += model.sample_interrupt_cost
+                    hooks.timer_sample(last_trace)
+                self._next_sample = next_sample
 
             if state.steps > max_steps:
                 raise ExecutionLimitExceeded(
@@ -187,29 +241,10 @@ class DynamoSim:
                     f"instructions under DynamoSim"
                 )
 
-        self.stats.total_steps = state.steps
-        return self.stats
+        stats.total_steps = state.steps
+        return stats
 
     # -- internals ---------------------------------------------------------------
-
-    def _charge_transition(self, prev: Optional[str], nxt: str,
-                           indirect: bool) -> None:
-        state = self.state
-        if prev is None:
-            state.cycles += self.cost_model.dispatch_cost
-            self.stats.dispatches += 1
-            return
-        if indirect:
-            state.cycles += self.cost_model.indirect_lookup_cost
-            self.stats.indirect_lookups += 1
-            return
-        pair = (prev, nxt)
-        if pair not in self._linked:
-            # First direct transition goes through the dispatcher, which
-            # then links the two fragments; later transitions are free.
-            state.cycles += self.cost_model.dispatch_cost
-            self.stats.dispatches += 1
-            self._linked.add(pair)
 
     def _execute_block(self, label: str) -> Optional[str]:
         state = self.state
@@ -244,7 +279,8 @@ class DynamoSim:
         self.hooks.trace_created(trace)
 
     def _execute_trace(self, trace: Trace) -> Optional[str]:
-        """One pass through a trace; returns the exit label."""
+        """One pass through a trace, as :meth:`_run` makes it inline;
+        returns the exit label."""
         interp = self.interp
         state = self.state
         trace.entries += 1

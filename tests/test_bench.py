@@ -1,6 +1,7 @@
 """Tests for the micro-benchmark harness, report schema and checks."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +9,8 @@ from repro.bench.harness import BenchResult, run_benchmark
 from repro.bench.report import (
     DEFAULT_EXECUTION, REGRESSION_THRESHOLD, SCHEMA_VERSION,
     SPEEDUP_FLOORS, build_report, check_floors, compare_reports,
-    context_fingerprint, load_report, render_report, report_results,
-    write_report,
+    comparison_skip_note, context_fingerprint, load_report, render_report,
+    report_results, write_report,
 )
 
 
@@ -137,6 +138,35 @@ class TestReport:
         current = build_report({"minisim": make_result(median=1.0)})
         # 1000x slower but measured on a different host: no failure.
         assert compare_reports(current, baseline) == []
+
+    def test_fingerprint_names_cpu_model_and_cores(self):
+        context = context_fingerprint()
+        assert context["cpu_model"]
+        assert context["cores"] >= 1
+
+    def test_other_host_class_skips_medians_with_a_note(self):
+        # The committed baseline predates the CPU-model/core fields, so
+        # it is another host class: every median may be far off, and
+        # only the floors are enforced.
+        baseline = load_report(str(Path(__file__).resolve().parent.parent
+                                   / "BENCH_kernels.json"))
+        current = build_report(
+            {name: make_result(name, median=payload["median_s"] * 2)
+             for name, payload in baseline["kernels"].items()},
+            quick=baseline["quick"])
+        note = comparison_skip_note(current, baseline)
+        assert "host class" in note
+        assert "cpu_model" in note and "cores" in note
+        assert compare_reports(current, baseline) == []
+        current["kernels"]["minisim"]["meta"]["speedup"] = 1.0
+        assert any("floor" in f for f in compare_reports(current, baseline))
+
+    def test_same_host_class_has_no_note(self):
+        report = build_report({"minisim": make_result()})
+        assert comparison_skip_note(report, report) is None
+        other = dict(report, context=dict(report["context"],
+                                          cpu_model="Other CPU"))
+        assert "cpu_model" in comparison_skip_note(report, other)
 
     def test_execution_recorded_with_serial_default(self):
         report = build_report({"minisim": make_result()})

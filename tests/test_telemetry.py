@@ -395,3 +395,37 @@ class TestCLITelemetry:
         assert "Telemetry overview" in rendered
         assert "Analyzer time share per workload" in rendered
         assert "Slowest specs" in rendered
+
+
+class TestOverviewUnits:
+    def test_all_wavefront_counts_specs_and_groups(self, global_telemetry,
+                                                   monkeypatch):
+        """The overview counts the ``all`` wavefront's 463 specs and the
+        457 fusion groups they execute as, each under its own label.
+
+        Only the planning and telemetry are under test, so every spec
+        resolves to one canned outcome instead of a simulation.
+        """
+        import repro.engine.attempt as attempt
+        from repro.experiments.cli import EXPERIMENTS
+        from repro.experiments.common import ResultCache
+        from repro.telemetry.summary import overview_table
+
+        canned = attempt.execute_spec(native_spec())
+        monkeypatch.setattr(attempt, "execute_spec", lambda spec: canned)
+        monkeypatch.setattr(
+            attempt, "run_native_fused",
+            lambda program, machine, variants, **kwargs:
+                [canned] * len(variants))
+        cache = ResultCache(scale=0.01)
+        wavefront = [spec for experiment in EXPERIMENTS.values()
+                     if experiment.required_runs is not None
+                     for spec in experiment.required_runs(cache)]
+        global_telemetry.enable()
+        cache.prefill(wavefront)
+
+        table = overview_table(global_telemetry.registry.snapshot(),
+                               global_telemetry.events)
+        rows = {row[0]: row[1] for row in table.rows}
+        assert rows["specs executed"] == 463
+        assert rows["groups executed"] == 457

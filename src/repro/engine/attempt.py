@@ -104,7 +104,11 @@ def _execute_timed(spec: RunSpec) -> Dict[str, Any]:
 
 
 def _execute_group_timed(group: Sequence[RunSpec]) -> List[Dict[str, Any]]:
-    """One fusion group under an ``executor.spec`` span."""
+    """One fusion group under an ``executor.spec`` span.
+
+    The span is labelled by the first member, and ``members`` lists
+    every member's digest so the execution is charged to all of them.
+    """
     if len(group) == 1:
         return [_execute_timed(group[0])]
     telemetry = get_telemetry()
@@ -114,7 +118,8 @@ def _execute_group_timed(group: Sequence[RunSpec]) -> List[Dict[str, Any]]:
     with telemetry.span("executor.spec",
                         labels={"workload": spec.workload},
                         digest=spec.digest()[:12], spec=spec.describe(),
-                        fused=len(group)):
+                        members=[member.digest()[:12]
+                                 for member in group]):
         return execute_group_payloads(group)
 
 

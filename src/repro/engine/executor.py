@@ -14,8 +14,8 @@ execution" section of ``docs/ARCHITECTURE.md``):
    ordinary :class:`RetryPolicy`), and merges results and telemetry in
    submission order;
 3. the **worker backends** (:mod:`repro.engine.pools`) -- in-process,
-   dedicated local processes, or socket-connected standalone agents
-   (:mod:`repro.engine.worker`), all indistinguishable to the
+   persistent local worker processes, or socket-connected standalone
+   agents (:mod:`repro.engine.worker`), all indistinguishable to the
    coordinator.
 
 The unit of work is deliberately the *payload dict* (the JSON-safe
@@ -89,9 +89,6 @@ from .attempt import (  # noqa: F401  (re-exports)
 from .pools import LocalProcessPool, PoolEvent, WorkerPool, make_pool
 from .protocol import Lease
 from .spec import RunSpec
-
-#: Compatibility alias -- the seam's historical private name.
-_attempt_group = attempt_group
 
 #: Signature of the streaming-results callback ``execute_groups``
 #: accepts: ``(group_index, group, payloads)``, invoked as each group
@@ -673,11 +670,14 @@ class LeaseExecutor:
             telemetry.event("executor.interrupted",
                             completed=completed, total=len(groups))
             raise
+        finally:
+            # Persistent workers serve one call: none outlives it.
+            self.pool.shutdown_idle()
         return results
 
 
 class ParallelExecutor(LeaseExecutor):
-    """Fans independent specs across cores via dedicated processes.
+    """Fans independent specs across cores via local worker processes.
 
     The historical ``--jobs N`` executor, expressed as a
     :class:`LeaseExecutor` over a

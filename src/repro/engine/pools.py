@@ -11,10 +11,11 @@ backends share the one interface:
     subprocesses -- the backend tests reach for.
 
 ``LocalProcessPool``
-    Today's execution model re-expressed over leases: one dedicated,
-    killable ``fork`` process per in-flight lease, results over a
-    pipe, expired leases terminated.  This is what ``--jobs N``
-    resolves to.
+    One persistent, killable ``fork`` worker per slot, reused for every
+    lease of a wavefront call: leases and results cross a pipe, and a
+    worker whose lease expired (killed) or that died (lost) is
+    replaced by a fresh fork on the slot's next submit.  This is what
+    ``--jobs N`` resolves to.
 
 ``SocketPool``
     Listens on a TCP port; standalone agents started with
@@ -33,10 +34,12 @@ byte-identical.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import multiprocessing.connection
 import os
 import selectors
+import signal
 import socket
 import time
 from dataclasses import dataclass, field
@@ -136,6 +139,13 @@ class WorkerPool:
     def abort(self) -> None:
         """Kill/sever every in-flight lease (interrupt path)."""
 
+    def shutdown_idle(self) -> None:
+        """Stop workers that hold no lease (end of a wavefront call).
+
+        Backends whose workers are not the coordinator's to stop (remote
+        agents) or that have none (in-process) keep the no-op default.
+        """
+
     def close(self) -> None:
         """Release the backend's resources."""
 
@@ -186,21 +196,48 @@ class InProcessPool(WorkerPool):
         self._events.clear()
 
 
-def _local_lease_main(conn: Any, lease: Lease) -> None:
-    """Entry point of one dedicated local lease process."""
-    try:
-        result = run_lease(lease)
-    except BaseException as exc:  # noqa: BLE001 -- must cross the pipe
-        result = ("error", {
-            "reason": "error",
-            "error": f"{type(exc).__name__}: {exc}",
-            "traceback": None,
-            "member": 0 if len(lease.specs) == 1 else None,
-        }, None)
-    try:
+def _local_worker_main(conn: Any, coordinator_end: Any) -> None:
+    """Entry point of one persistent local worker process.
+
+    Serves leases off the pipe until the coordinator kills it or its
+    end closes (the fork's own copy of that end is closed first, so a
+    worker whose coordinator died reads EOF and exits).
+    :func:`run_lease` installs each lease's fault plan and resets
+    telemetry, so a result never depends on what the worker ran before.
+    Everything inherited at fork time is frozen out of the collector,
+    and each lease's garbage is collected after its result is sent --
+    off the coordinator's critical path -- so the worker's heap stays at
+    one lease's high-water mark.
+    """
+    # A terminal's Ctrl-C reaches the whole process group; interrupts
+    # are the coordinator's to handle, and it stops every worker.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    coordinator_end.close()
+    gc.freeze()
+    while True:
+        try:
+            lease = conn.recv()
+        except EOFError:
+            return
+        try:
+            result = run_lease(lease)
+        except Exception as exc:  # noqa: BLE001 -- must cross the pipe
+            result = ("error", {
+                "reason": "error",
+                "error": f"{type(exc).__name__}: {exc}",
+                "traceback": None,
+                "member": 0 if len(lease.specs) == 1 else None,
+            }, None)
         conn.send(result)
-    finally:
-        conn.close()
+        gc.collect()
+
+
+@dataclass
+class _LocalWorker:
+    """Coordinator-side handle on one persistent worker process."""
+
+    process: Any
+    conn: Any
 
 
 @dataclass
@@ -208,21 +245,23 @@ class _LocalRun:
     """Coordinator-side record of one in-flight local lease."""
 
     lease: Lease
-    process: Any
-    conn: Any
     slot: int
     started: float = field(default_factory=time.monotonic)
 
 
 class LocalProcessPool(WorkerPool):
-    """One dedicated, killable ``fork`` process per in-flight lease.
+    """One persistent, killable ``fork`` worker process per slot.
 
-    Worker ids are stable slot names (``local/0`` .. ``local/N-1``):
-    the *slot* persists across leases even though each lease gets a
-    fresh process, which keeps per-worker telemetry attribution
-    meaningful.  An expired lease's process is terminated and joined --
-    never abandoned -- and a process that exits without sending
-    (killed, OOM, ``os._exit``) surfaces as a ``"lost"`` event.
+    Slot ``i`` (worker id ``local/i``) forks its worker lazily on its
+    first submit and reuses it for every later lease, so a wavefront of
+    hundreds of groups costs ``jobs`` forks instead of one per group.
+    Leases and results cross a duplex pipe.  An expired lease's worker
+    is killed and joined -- never abandoned -- and a worker that
+    dies without answering (killed, OOM, ``os._exit``) surfaces as a
+    ``"lost"`` event; either way the slot forks a fresh worker on its
+    next submit.  :meth:`shutdown_idle` (called by the coordinator when
+    ``execute_groups`` returns) stops the rest, so no worker outlives
+    the call that started it.
     """
 
     kind = "local"
@@ -235,6 +274,7 @@ class LocalProcessPool(WorkerPool):
             self._ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover -- non-POSIX fallback
             self._ctx = multiprocessing.get_context()
+        self._workers: List[Optional[_LocalWorker]] = [None] * jobs
         self._running: Dict[str, _LocalRun] = {}
         self._free = list(range(jobs))
 
@@ -245,18 +285,35 @@ class LocalProcessPool(WorkerPool):
     def has_capacity(self) -> bool:
         return len(self._running) < self.jobs
 
+    def _worker(self, slot: int) -> _LocalWorker:
+        """The slot's live worker, forking a replacement if needed."""
+        worker = self._workers[slot]
+        if worker is not None and worker.process.is_alive():
+            return worker
+        if worker is not None:
+            self._retire(slot)  # died while idle
+        ours, theirs = self._ctx.Pipe()
+        process = self._ctx.Process(target=_local_worker_main,
+                                    args=(theirs, ours), daemon=True,
+                                    name=f"local/{slot}")
+        process.start()
+        theirs.close()
+        worker = self._workers[slot] = _LocalWorker(process, ours)
+        return worker
+
     def submit(self, lease: Lease) -> None:
         if not self._free:
             raise RuntimeError("no free local worker slot")
         self._free.sort()
         slot = self._free.pop(0)
-        recv_end, send_end = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=_local_lease_main, args=(send_end, lease), daemon=True)
-        process.start()
-        send_end.close()
-        self._running[lease.lease_id] = _LocalRun(
-            lease=lease, process=process, conn=recv_end, slot=slot)
+        worker = self._worker(slot)
+        self._running[lease.lease_id] = _LocalRun(lease=lease, slot=slot)
+        try:
+            worker.conn.send(lease)
+        except OSError:
+            # The worker died between leases; its end of the pipe reads
+            # as EOF, so wait() reports this lease lost.
+            pass
 
     def wait(self, timeout: Optional[float] = None) -> List[PoolEvent]:
         if not self._running:
@@ -269,45 +326,65 @@ class LocalProcessPool(WorkerPool):
             expiry = max(0.0, min(deadlines) - time.monotonic())
             wait_for = expiry if wait_for is None else min(wait_for, expiry)
         ready = multiprocessing.connection.wait(
-            [run.conn for run in self._running.values()], wait_for)
+            [self._workers[run.slot].conn
+             for run in self._running.values()], wait_for)
         now = time.monotonic()
         events: List[PoolEvent] = []
         for lease_id in list(self._running):
             run = self._running[lease_id]
+            conn = self._workers[run.slot].conn
             worker = f"local/{run.slot}"
             deadline = run.lease.deadline_s
             # Expiry beats a late result: the attempt overran its
             # deadline even if a payload squeaked onto the pipe.
             if deadline is not None and now - run.started > deadline:
-                run.process.terminate()
+                self._retire(run.slot)
                 events.append(PoolEvent("expired", lease_id, worker))
-            elif run.conn in ready:
+            elif conn in ready:
                 try:
-                    status, value, snapshot = run.conn.recv()
+                    status, value, snapshot = conn.recv()
                     events.append(PoolEvent(
                         "result", lease_id, worker,
                         status=status, value=value, snapshot=snapshot))
                 except EOFError:
+                    self._retire(run.slot)
                     events.append(PoolEvent("lost", lease_id, worker))
             else:
                 continue
-            self._reap(lease_id)
+            del self._running[lease_id]
+            self._free.append(run.slot)
         return events
 
-    def _reap(self, lease_id: str) -> None:
-        run = self._running.pop(lease_id)
-        run.process.join()
-        run.conn.close()
-        self._free.append(run.slot)
+    def _retire(self, slot: int) -> None:
+        """Kill (if still running) and reap the slot's worker.
+
+        ``SIGKILL``, not ``SIGTERM``: a forked worker inherits the
+        coordinator's Python signal handlers (the CLI's SIGTERM drain
+        handler among them), so only a kill is sure to stop it.
+        """
+        worker = self._workers[slot]
+        self._workers[slot] = None
+        worker.process.kill()
+        worker.process.join()
+        worker.conn.close()
 
     def abort(self) -> None:
         for run in self._running.values():
-            run.process.terminate()
-        for lease_id in list(self._running):
-            self._reap(lease_id)
+            self._retire(run.slot)
+            self._free.append(run.slot)
+        self._running.clear()
+
+    def shutdown_idle(self) -> None:
+        # An idle worker is blocked on its pipe holding nothing of
+        # value, so killing it loses no work.
+        busy = {run.slot for run in self._running.values()}
+        for slot, worker in enumerate(self._workers):
+            if worker is not None and slot not in busy:
+                self._retire(slot)
 
     def close(self) -> None:
         self.abort()
+        self.shutdown_idle()
 
 
 @dataclass

@@ -321,9 +321,6 @@ def main(argv: Optional[list] = None) -> int:
              "initial connection and rejoins alike (default "
              f"{DIAL_TIMEOUT_S:g})")
     parser.add_argument(
-        "--connect-timeout", type=float, default=None, metavar="S",
-        help="deprecated alias for --dial-timeout")
-    parser.add_argument(
         "--no-rejoin", action="store_true",
         help="exit on the first disconnect instead of redialing")
     parser.add_argument(
@@ -334,8 +331,6 @@ def main(argv: Optional[list] = None) -> int:
         parser.error(f"invalid --connect address {args.connect!r} "
                      f"(expected HOST:PORT)")
     timeout = args.dial_timeout
-    if timeout is None:
-        timeout = args.connect_timeout
     if timeout is None:
         timeout = DIAL_TIMEOUT_S
     log = None if args.quiet else print

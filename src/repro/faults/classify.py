@@ -39,7 +39,7 @@ def worker_loss_failure(group_size: int, worker: str,
                         detail: Optional[str] = None) -> Dict[str, Any]:
     """Failure info for a lease lost to a dead worker.
 
-    Shaped exactly like :func:`~repro.engine.executor._attempt_group`'s
+    Shaped exactly like :func:`~repro.engine.attempt.attempt_group`'s
     error value, so the coordinator's retry loop cannot tell a dead
     node from an in-process crash: ``member`` blames the sole member of
     a singleton group and stays ``None`` for a fused group (the shared

@@ -5,7 +5,8 @@ Turns a registry snapshot + event log into the tables behind
 
 * an overview (specs and fusion groups executed, wall time, store hit
   ratio, analyzer activity, event volume);
-* the slowest executed specs (from ``executor.spec`` span events);
+* the slowest executed specs (from ``executor.spec`` span events; a
+  fused execution shows as its first spec plus ``(+N fused)``);
 * per-workload analyzer time share (``span.umi.analyzer`` wall seconds
   against ``span.executor.spec`` wall seconds, per workload label) --
   the reproduction-side view of the paper's Fig. 2 overhead
@@ -110,8 +111,11 @@ def slowest_specs_table(events: List[Dict[str, Any]],
                   ["{}", "{}", "{:.3f}", "{:.3f}", "{:.1%}"])
     for rank, event in enumerate(spans[:top], start=1):
         attrs = event.get("attrs", {})
-        table.add_row(rank, attrs.get("spec", "?"), event["wall_s"],
-                      event["cpu_s"],
+        label = attrs.get("spec", "?")
+        fused = len(attrs.get("members", ())) - 1
+        if fused > 0:
+            label = f"{label} (+{fused} fused)"
+        table.add_row(rank, label, event["wall_s"], event["cpu_s"],
                       event["wall_s"] / total if total else 0.0)
     return table
 

@@ -5,18 +5,25 @@ through the serial executor and through the parallel executor must
 produce byte-identical ``FailedRun`` payloads and identical retry /
 timeout counter values, because fault decisions are pure functions of
 ``(seed, kind, spec digest, attempt)`` and failures are captured at the
-single ``_attempt_group`` seam both executors share.  The rest covers
-each fault class end to end: crash-then-retry recovery, deadline
-classification, consumer quarantine, torn-record detection and repair,
-checkpoint/resume, interrupt handling, and the CLI surface.
+single :func:`repro.engine.attempt.attempt_group` seam both executors
+share.  The rest covers each fault class end to end: crash-then-retry
+recovery, deadline classification, consumer quarantine, torn-record
+detection and repair, checkpoint/resume, interrupt handling, and the
+CLI surface.
 """
 
 import json
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro
+import repro.engine.pools as pools
 from repro.engine import (
     ExecutionEngine, FailedRun, InterruptReport, ParallelExecutor,
     ResultStore, RetryPolicy, RunSpec, SerialExecutor,
@@ -411,6 +418,128 @@ class TestFaultDeterminism:
         assert FailedRun.from_payload(failed.to_payload()) == failed
         assert is_failed_payload(failed.to_payload())
         assert "after 3 attempt(s)" in failed.describe()
+
+
+class TestLocalPoolContract:
+    """The local pool keeps one persistent worker per slot.
+
+    Workers are counted by wrapping ``Process.start``: a wavefront
+    forks once per slot, and only a slot whose worker was killed or
+    expired forks again.
+    """
+
+    SPECS = [native_spec(), native_spec(OTHER), native_spec("255.vortex"),
+             native_spec("179.art"), native_spec("164.gzip"),
+             native_spec("treeadd")]
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        """Names of the processes started, in start order."""
+        started = []
+        real_start = multiprocessing.process.BaseProcess.start
+
+        def counting_start(process):
+            started.append(process.name)
+            real_start(process)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            counting_start)
+        return started
+
+    def _serial(self, groups):
+        return SerialExecutor().execute_groups(groups)
+
+    def test_wavefront_forks_one_worker_per_slot(self, starts):
+        groups = [[spec] for spec in self.SPECS]
+        ex = ParallelExecutor(jobs=2, retry=policy())
+        results = ex.execute_groups(groups)
+        assert sorted(starts) == ["local/0", "local/1"]
+        assert ex.runs_executed == len(groups)
+        assert sum(s["leases"] for s in ex.worker_stats.values()) \
+            == len(groups)
+        assert all(p[0]["kind"] == "run_outcome" for p in results)
+        assert not multiprocessing.active_children()
+
+    def test_killed_worker_is_lost_and_its_slot_respawns(
+            self, starts, monkeypatch):
+        # The first lease's worker SIGKILLs itself mid-lease on its
+        # first attempt: exactly what an OOM kill looks like.
+        real_run_lease = pools.run_lease
+
+        def run_lease(lease):
+            if lease.attempt == 1 and lease.group()[0] == self.SPECS[0]:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_run_lease(lease)
+
+        monkeypatch.setattr(pools, "run_lease", run_lease)
+        groups = [[spec] for spec in self.SPECS]
+        ex = ParallelExecutor(jobs=2, retry=policy(attempts=2))
+        results = ex.execute_groups(groups)
+        assert ex.worker_stats["local/0"]["lost"] == 1
+        assert sum(s["lost"] for s in ex.worker_stats.values()) == 1
+        assert ex.runs_executed == len(groups) and ex.runs_failed == 0
+        # Slot 0 forked again after its worker died; slot 1 never did.
+        assert sorted(starts) == ["local/0", "local/0", "local/1"]
+        assert json.dumps(results, sort_keys=True) \
+            == json.dumps(self._serial(groups), sort_keys=True)
+        assert not multiprocessing.active_children()
+
+    def test_expiry_replaces_only_that_slots_worker(self, starts):
+        # Only the first lease's first attempt hangs past the deadline;
+        # the retry and every other group run normally.
+        plan = FaultPlan(seed=1, rules=(
+            FaultRule(kind="hang", match=WORKLOAD, attempts=1,
+                      hang_seconds=30.0),))
+        groups = [[spec] for spec in self.SPECS]
+        ex = ParallelExecutor(jobs=2, retry=policy(attempts=2,
+                                                   timeout=3.0))
+        with fault_injection(plan):
+            results = ex.execute_groups(groups)
+        assert ex.worker_stats["local/0"]["timeouts"] == 1
+        assert sum(s["timeouts"] for s in ex.worker_stats.values()) == 1
+        assert sorted(starts) == ["local/0", "local/0", "local/1"]
+        assert ex.runs_executed == len(groups) and ex.runs_failed == 0
+        assert json.dumps(results, sort_keys=True) \
+            == json.dumps(self._serial(groups), sort_keys=True)
+        assert not multiprocessing.active_children()
+
+    def test_cli_expiry_kills_workers_that_inherit_its_sigterm_handler(
+            self, tmp_path):
+        # The CLI installs a SIGTERM drain handler and forked workers
+        # inherit it, so an expiry that only sent SIGTERM would wait
+        # out every hang.  The CLI runs in a subprocess so that such a
+        # regression fails on the timeout instead of wedging the suite.
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(FaultPlan(seed=1, rules=(
+            FaultRule(kind="hang", match="*", attempts=99,
+                      hang_seconds=20.0),)).to_dict()))
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        start = time.monotonic()
+        run = subprocess.run(
+            [sys.executable, "-m", "repro.experiments.cli", "table2",
+             "--scale", "0.1", "--jobs", "2", "--timeout", "0.5",
+             "--faults", str(plan)],
+            capture_output=True, text=True, env=env, timeout=30)
+        assert time.monotonic() - start < 15.0
+        assert run.returncode == 1
+        assert "4 runs failed after retries" in run.stdout
+
+    def test_submission_order_does_not_change_payloads(self):
+        # A fused group and a UMI spec ride along with the singletons,
+        # so workers reuse across every execution shape.
+        specs = self.SPECS + [native_spec(counter_sample_size=50),
+                              native_spec(counter_sample_size=100),
+                              RunSpec.umi(WORKLOAD, SCALE, "pentium4",
+                                          MACHINE_SCALE)]
+        groups = plan_groups(specs)
+        assert any(len(group) > 1 for group in groups)
+        serial = self._serial(groups)
+        forward = ParallelExecutor(jobs=2).execute_groups(groups)
+        backward = ParallelExecutor(jobs=2).execute_groups(groups[::-1])
+        expected = json.dumps(serial, sort_keys=True)
+        assert json.dumps(forward, sort_keys=True) == expected
+        assert json.dumps(backward[::-1], sort_keys=True) == expected
 
 
 class TestFusedMemberAttribution:

@@ -429,3 +429,29 @@ class TestOverviewUnits:
         rows = {row[0]: row[1] for row in table.rows}
         assert rows["specs executed"] == 463
         assert rows["groups executed"] == 457
+
+    def test_fused_execution_is_charged_to_every_member(
+            self, global_telemetry):
+        """A fused execution's span names every member's digest, and the
+        slowest-specs table renders it as its first spec plus the count
+        of members fused behind it."""
+        from repro.engine import plan_groups
+        from repro.telemetry.summary import slowest_specs_table
+
+        specs = [native_spec(counter_sample_size=50),
+                 native_spec(counter_sample_size=100),
+                 native_spec(counter_sample_size=200)]
+        groups = plan_groups(specs)
+        assert [len(group) for group in groups] == [3]
+        global_telemetry.enable()
+        SerialExecutor().execute_groups(groups)
+
+        spans = [e for e in global_telemetry.events
+                 if e.get("name") == "executor.spec"]
+        assert len(spans) == 1
+        attrs = spans[0]["attrs"]
+        assert attrs["members"] == [spec.digest()[:12]
+                                    for spec in groups[0]]
+        table = slowest_specs_table(global_telemetry.events)
+        assert [row[1] for row in table.rows] == [
+            f"{groups[0][0].describe()} (+2 fused)"]

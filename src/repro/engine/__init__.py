@@ -4,20 +4,21 @@ The run-spec layer (:class:`RunSpec`) is the single currency between
 experiments, runners, serialization and benchmarks; the engine
 (:class:`ExecutionEngine`) resolves specs through an in-process memo, a
 persistent content-addressed :class:`ResultStore`, and an executor.
-Executors are layered as a coordinator/worker lease protocol: a
+Every sweep runs through one coordinator/worker lease protocol: a
 :class:`LeaseExecutor` coordinator hands :class:`Lease` messages to a
-pluggable worker pool (in-process, dedicated local processes, or
-socket-connected standalone agents).  See the "Execution engine" and
+pluggable worker pool (in-process for a serial sweep, dedicated local
+processes, or socket-connected standalone agents).  See the "Execution engine" and
 "Distributed execution" sections of ``docs/ARCHITECTURE.md``.
 """
 
-from .attempt import attempt_group, run_lease
+from .attempt import (
+    attempt_group, execute_group_payloads, execute_spec,
+    execute_spec_payload, run_lease,
+)
 from .engine import ExecutionEngine
 from .executor import (
     DrainInterrupt, FailedRun, InterruptReport, LeaseExecutor,
-    ParallelExecutor, RetryPolicy, SerialExecutor, SpecExecutionError,
-    execute_spec, execute_group_payloads, execute_spec_payload,
-    is_failed_payload, make_executor,
+    RetryPolicy, SpecExecutionError, is_failed_payload, make_executor,
 )
 from .fusion import fusion_key, plan_groups
 from .journal import JOURNAL_NAME, LeaseJournal
@@ -37,9 +38,9 @@ __all__ = [
     "FailedRun", "FsckReport", "Heartbeat", "HeartbeatAck",
     "InProcessPool", "InterruptReport", "JOURNAL_NAME", "Lease",
     "LeaseExecutor", "LeaseJournal", "LeaseResult", "LocalProcessPool",
-    "PROTOCOL_VERSION", "ParallelExecutor", "PoolEvent",
+    "PROTOCOL_VERSION", "PoolEvent",
     "ProtocolError", "ResultStore", "RetryPolicy", "RunSpec",
-    "SPEC_MODES", "SerialExecutor", "Shutdown", "SocketPool",
+    "SPEC_MODES", "Shutdown", "SocketPool",
     "SpecExecutionError", "WorkerHello", "WorkerPool", "WorkerWelcome",
     "attempt_group", "execute_group_payloads", "execute_spec",
     "execute_spec_payload", "fusion_key", "is_failed_payload",

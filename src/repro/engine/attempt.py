@@ -5,9 +5,9 @@ fusion group (or a whole :class:`~repro.engine.protocol.Lease`), run it
 once and report a structured result.  It deliberately knows nothing
 about retries, deadlines, pools or sockets -- those live in the
 coordinator (:mod:`repro.engine.executor`) and the pool backends
-(:mod:`repro.engine.pools`).  Because the serial executor, the local
-process pool, the in-process test pool and the standalone socket agent
-all call :func:`attempt_group` (directly or via :func:`run_lease`),
+(:mod:`repro.engine.pools`).  Because the in-process pool (a serial
+sweep), the local process pool and the standalone socket agent all
+call :func:`attempt_group` (directly or via :func:`run_lease`),
 fault-plan hooks fire and failures serialize byte-identically no
 matter where an attempt physically ran.
 

@@ -1,4 +1,4 @@
-"""Executors: turn RunSpecs into serialized outcome payloads.
+"""The coordinator: turns RunSpecs into serialized outcome payloads.
 
 The execution stack is layered in three pieces (see the "Distributed
 execution" section of ``docs/ARCHITECTURE.md``):
@@ -7,23 +7,23 @@ execution" section of ``docs/ARCHITECTURE.md``):
    JSON-line-framed ``Lease``/``LeaseResult`` messages that carry a
    fusion group, its retry attempt, its deadline and the fault plan to
    a worker, and bring payloads plus a telemetry snapshot back;
-2. the **coordinator** (:class:`LeaseExecutor`, here) -- plans the
-   wavefront, leases pending groups to a pluggable
-   :class:`~repro.engine.pools.WorkerPool`, classifies a dead or
-   expired worker as a crash fault (the lease requeues through the
-   ordinary :class:`RetryPolicy`), and merges results and telemetry in
-   submission order;
-3. the **worker backends** (:mod:`repro.engine.pools`) -- in-process,
-   persistent local worker processes, or socket-connected standalone
-   agents (:mod:`repro.engine.worker`), all indistinguishable to the
-   coordinator.
+2. the **coordinator** (:class:`LeaseExecutor`, here) -- the one
+   execution loop.  It plans the wavefront, leases pending groups to
+   a pluggable :class:`~repro.engine.pools.WorkerPool`, classifies a
+   dead or expired worker as a crash fault (the lease requeues through
+   the ordinary :class:`RetryPolicy`), and resolves results and
+   telemetry in submission order;
+3. the **worker backends** (:mod:`repro.engine.pools`) -- in-process
+   (a serial sweep), persistent local worker processes (``--jobs N``),
+   or socket-connected standalone agents (:mod:`repro.engine.worker`),
+   all indistinguishable to the coordinator.
 
 The unit of work is deliberately the *payload dict* (the JSON-safe
 summary from :func:`repro.serialize.outcome_to_dict`), not the live
 :class:`~repro.runners.RunOutcome`: payloads are cheap to ship across
 process and socket boundaries, are exactly what the persistent store
-writes, and guarantee the serial path, every pool backend and a store
-hit all hand the experiment layer byte-identical data.
+writes, and guarantee every pool backend and a store hit all hand the
+experiment layer byte-identical data.
 
 Resilience: every fusion group runs under a :class:`RetryPolicy` --
 bounded attempts, exponential backoff with an injectable sleep, and an
@@ -31,27 +31,30 @@ optional per-group wall-clock deadline.  Each lease's deadline clock
 starts when its worker starts executing -- time spent waiting for a
 free slot never counts against it -- and an attempt that overruns is
 classified as a timeout even if a result eventually arrives, which
-keeps failure classification identical across backends (the serial
-executor enforces the same rule post-hoc on elapsed time).  A worker
-that dies while holding a lease (killed process, dropped connection)
-surfaces as a :func:`repro.faults.worker_loss_failure` crash fault and
-the lease requeues on the next wave, on whatever worker is free.  A
-group that still fails after its attempts are exhausted becomes one
-structured :class:`FailedRun` payload per member spec -- the wavefront
-*completes* and reports partial results -- unless the executor is
-``strict``, in which case the final failure raises
-:class:`SpecExecutionError` naming the member spec (or the shared
-fused execution) that actually failed.  ``KeyboardInterrupt`` is
-handled gracefully: in-flight leases are aborted, telemetry for
-completed groups stays merged, and ``last_interrupt`` reports how many
-groups finished before the interrupt.
+keeps failure classification identical across backends (the
+in-process pool cannot interrupt an attempt, so it applies the same
+rule post-hoc on elapsed time).  A worker that dies while holding a
+lease (killed process, dropped connection) surfaces as a
+:func:`repro.faults.worker_loss_failure` crash fault and the lease
+requeues on the next wave, on whatever worker is free.  Each group is
+checkpointed (``on_result``) as soon as it and every group submitted
+before it have resolved.  A group that still fails after its attempts
+are exhausted becomes one structured :class:`FailedRun` payload per
+member spec -- the wavefront *completes* and reports partial results
+-- unless the executor is ``strict``, in which case no new lease is
+granted and, once the leases in flight have landed, the failure
+raises :class:`SpecExecutionError` naming the member spec (or the
+shared fused execution) that actually failed.  ``KeyboardInterrupt``
+is handled gracefully: in-flight leases are aborted, completed groups
+stay checkpointed with their telemetry merged, and ``last_interrupt``
+reports how many groups finished before the interrupt.
 
 Telemetry: every executed spec is timed under an ``executor.spec``
 span (labelled by workload, carrying the spec digest).  Workers record
 into their own process-local telemetry and ship a snapshot back inside
 the :class:`~repro.engine.protocol.LeaseResult`; the coordinator
 merges snapshots in spec *submission* order, so the combined registry
-is identical to a serial run's regardless of completion order or
+is identical to an in-process run's regardless of completion order or
 worker placement.  Retries and deadline expiries are counted under
 ``executor.retries`` and ``executor.timeouts``, identically across
 backends; per-worker attribution lands separately under the
@@ -69,24 +72,14 @@ agent.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass
-from typing import (
-    Any, Callable, Dict, List, Optional, Sequence, Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.faults import active_fault_plan, worker_loss_failure
 from repro.telemetry import get_telemetry
 
-# Re-exported for compatibility: the execution seam lives in
-# repro.engine.attempt so pool backends and the standalone worker can
-# import it without circular imports.
-from .attempt import (  # noqa: F401  (re-exports)
-    attempt_group, execute_group_payloads, execute_spec,
-    execute_spec_payload,
-)
-from .pools import LocalProcessPool, PoolEvent, WorkerPool, make_pool
+from .pools import WorkerPool, make_pool
 from .protocol import Lease
 from .spec import RunSpec
 
@@ -133,15 +126,15 @@ class SpecExecutionError(RuntimeError):
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How an executor treats a failing or overrunning group.
+    """How the coordinator treats a failing or overrunning group.
 
-    ``max_attempts`` counts total tries (1 = no retries).  Backoff
-    before attempt *n+1* is ``backoff_base * backoff_factor**(n-1)``
-    seconds, delivered through ``sleep`` so tests inject a no-op clock.
-    ``timeout`` is a per-group wall-clock deadline in seconds
-    (``None`` = unbounded); an attempt that overruns it is classified
-    as a timeout even if it eventually returns, keeping serial and
-    parallel classification identical.
+    ``max_attempts`` counts total tries (1 = no retries).  Failed
+    groups retry together in waves: the backoff before wave *n+1* is
+    ``backoff_base * backoff_factor**(n-1)`` seconds, delivered
+    through ``sleep`` so tests inject a no-op clock.  ``timeout`` is a
+    per-group wall-clock deadline in seconds (``None`` = unbounded);
+    an attempt that overruns it is classified as a timeout even if it
+    eventually returns, so every pool classifies it identically.
     """
 
     max_attempts: int = 1
@@ -271,120 +264,42 @@ def _spec_error(group: Sequence[RunSpec], failure: Dict[str, Any],
                               worker_traceback=failure.get("traceback"))
 
 
-def _resolve_group_serially(group: Sequence[RunSpec], policy: RetryPolicy,
-                            telemetry) -> Tuple[str, Any, int]:
-    """Retry loop for one group in the calling process.
+@dataclass
+class _Sweep:
+    """The state of one :meth:`LeaseExecutor.execute_groups` call."""
 
-    Returns ``(status, value, attempts_used)``.  An attempt whose
-    elapsed wall time overran ``policy.timeout`` is reclassified as a
-    timeout (and its result discarded) even if it returned -- mirroring
-    the coordinator-side deadline the pools enforce, so both paths
-    retry and fail identically under the same fault plan.
-    """
-    attempt = 1
-    while True:
-        start = time.monotonic()
-        status, value = attempt_group(group, attempt)
-        elapsed = time.monotonic() - start
-        if policy.timeout is not None and elapsed > policy.timeout:
-            telemetry.count("executor.timeouts")
-            status, value = "error", _timeout_failure(group, policy)
-        if status == "ok" or attempt >= policy.max_attempts:
-            return status, value, attempt
-        telemetry.count("executor.retries")
-        policy.sleep(policy.backoff(attempt))
-        attempt += 1
-
-
-def _execute_groups_serially(executor, groups: List[List[RunSpec]],
-                             on_result: Optional[OnResult]
-                             ) -> List[List[Dict[str, Any]]]:
-    """Shared in-process group loop (SerialExecutor + jobs==1 fallback)."""
-    telemetry = get_telemetry()
-    results: List[List[Dict[str, Any]]] = []
-    completed = 0
-    try:
-        for index, group in enumerate(groups):
-            if getattr(executor, "_drain", False):
-                raise DrainInterrupt("drain requested")
-            status, value, attempts = _resolve_group_serially(
-                group, executor.retry, telemetry)
-            if status == "ok":
-                payloads = value
-                executor.runs_executed += 1
-            else:
-                if executor.strict:
-                    raise _spec_error(group, value, attempts)
-                executor.runs_failed += 1
-                payloads = _failed_payloads(group, value, attempts)
-            completed += 1
-            results.append(payloads)
-            if on_result is not None:
-                on_result(index, group, payloads)
-    except KeyboardInterrupt:
-        executor.last_interrupt = InterruptReport(completed, len(groups))
-        telemetry.event("executor.interrupted", completed=completed,
-                        total=len(groups))
-        raise
-    return results
-
-
-class SerialExecutor:
-    """Runs specs one after another in the calling process."""
-
-    jobs = 1
-    supports_on_result = True
-    pool_kind = "serial"
-
-    def __init__(self, retry: Optional[RetryPolicy] = None,
-                 strict: bool = True) -> None:
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.strict = strict
-        self.runs_executed = 0
-        self.runs_failed = 0
-        self.last_interrupt: Optional[InterruptReport] = None
-        self.worker_stats: Dict[str, Dict[str, int]] = {}
-        self._drain = False
-
-    def execute(self, specs: Sequence[RunSpec]) -> List[Dict[str, Any]]:
-        results = self.execute_groups([[spec] for spec in specs])
-        return [payloads[0] for payloads in results]
-
-    def request_drain(self) -> None:
-        """Finish the group in flight, checkpoint it, then stop."""
-        self._drain = True
-
-    def execute_groups(self, groups: Sequence[Sequence[RunSpec]],
-                       on_result: Optional[OnResult] = None
-                       ) -> List[List[Dict[str, Any]]]:
-        """Run fusion groups; one *execution* counted per group."""
-        self.last_interrupt = None
-        groups = [list(group) for group in groups]
-        return _execute_groups_serially(self, groups, on_result)
-
-    def close(self) -> None:
-        """Nothing to release."""
+    groups: List[List[RunSpec]]
+    #: Journal key per group: its members' digests.
+    keys: List[str]
+    #: Attempts granted so far, per group.
+    attempts: List[int]
+    results: List[Optional[List[Dict[str, Any]]]]
+    on_result: Optional[OnResult]
+    plan_dict: Optional[Dict[str, Any]]
+    telemetry: Any
+    completed: int = 0
+    #: Strict mode's first exhausted group, raised once nothing flies.
+    error: Optional[SpecExecutionError] = None
 
 
 class LeaseExecutor:
     """The coordinator: plans waves, leases groups to a worker pool.
 
-    Owns all *policy* -- retries, deadlines-as-timeouts, crash-fault
+    The one execution path for every sweep: a serial sweep is this
+    coordinator over an :class:`~repro.engine.pools.InProcessPool`.
+    It owns all *policy* -- retries, deadlines-as-timeouts, crash-fault
     classification, strict-mode errors, submission-order telemetry
     merging, checkpoint callbacks -- while the
     :class:`~repro.engine.pools.WorkerPool` owns only *placement*.
-    Execution proceeds in retry waves exactly like the historical
-    parallel executor: attempt *n* of every pending group runs (each
-    group as one :class:`~repro.engine.protocol.Lease`), then failed,
-    expired and lost groups back off together and requeue as attempt
-    *n+1*.  A lost worker consumes a retry attempt like any crash: the
-    lease's failure info comes from
-    :func:`repro.faults.worker_loss_failure`, and downstream handling
-    (FailedRun payloads, strict errors, store checkpoints, resume) is
-    byte-identical to an in-process crash.
+    Execution proceeds in retry waves: attempt *n* of every pending
+    group runs (each group as one
+    :class:`~repro.engine.protocol.Lease`), then failed, expired and
+    lost groups back off together and requeue as attempt *n+1*.  A
+    lost worker consumes a retry attempt like any crash: the lease's
+    failure info comes from :func:`repro.faults.worker_loss_failure`,
+    and downstream handling (FailedRun payloads, strict errors, store
+    checkpoints, resume) is byte-identical to an in-process crash.
     """
-
-    supports_on_result = True
 
     def __init__(self, pool: WorkerPool,
                  retry: Optional[RetryPolicy] = None,
@@ -421,14 +336,12 @@ class LeaseExecutor:
 
         In-flight leases run to completion and checkpoint; waiting
         groups stay pending for ``--resume``; the wavefront then
-        raises :class:`DrainInterrupt`.  A socket pool is also
-        detached, so its agents are severed without a shutdown frame
-        and their rejoin loops can find the replacement coordinator.
+        raises :class:`DrainInterrupt`.  The pool is also detached, so
+        socket agents are severed without a shutdown frame and their
+        rejoin loops can find the replacement coordinator.
         """
         self._drain = True
-        detach = getattr(self.pool, "detach", None)
-        if detach is not None:
-            detach()
+        self.pool.detach()
 
     def close(self) -> None:
         self.pool.close()
@@ -461,44 +374,50 @@ class LeaseExecutor:
             self.retry.timeout, plan_dict, telemetry_enabled,
             epoch=self._lease_seq)
 
-    def _run_wave(self, groups: List[List[RunSpec]], pending: List[int],
-                  attempts_used: Dict[int, int], keys: List[str],
-                  plan_dict: Optional[Dict[str, Any]],
-                  telemetry, outcomes: Dict[int, Any],
-                  expired: Dict[int, str], lost: Dict[int, str]) -> None:
-        """One retry wave: every pending group leased exactly once.
+    def _stopping(self, sweep: _Sweep) -> bool:
+        """No new grants: a drain was requested or strict mode failed."""
+        return self._drain or sweep.error is not None
 
-        Leases are submitted in submission order while the pool has
+    def _run_wave(self, sweep: _Sweep, pending: List[int]) -> List[int]:
+        """One retry wave: every pending group leased at most once.
+
+        Leases are granted in submission order while the pool has
         capacity; each lease's deadline clock starts when its worker
         does, so time spent waiting for a free slot never counts
         against it.  A grant consumes the group's next attempt (and is
         journaled, so a coordinator that dies after granting does not
-        hand the group a fresh budget on restart).  Raw pool events
-        land incrementally in ``outcomes`` (index -> ``(status, value,
-        snapshot, worker)``), ``expired`` and ``lost`` (index ->
-        worker id), so the caller can salvage completed groups when
-        the wave is interrupted; liveness-only events (rejoins, missed
-        heartbeats, fenced stale results) are counted into telemetry
-        here and never touch group state.  A drain request stops new
-        submissions but waits out everything already in flight.
+        hand the group a fresh budget on restart).  A group resolves
+        as soon as it and every group granted before it have an
+        outcome, so checkpoints stream while the wave runs and
+        telemetry merges in submission order.  Liveness-only events
+        (rejoins, missed heartbeats, fenced stale results) are counted
+        into telemetry here and never touch group state.  A drain
+        request or a strict failure stops new grants but waits out
+        everything already in flight.  Returns the groups still
+        pending: those to retry, then those never granted.
         """
         pool = self.pool
+        telemetry = sweep.telemetry
         waiting = list(pending)
+        unresolved = list(pending)
         inflight: Dict[str, int] = {}
+        # index -> (status, value, snapshot, worker), until resolved
+        arrived: Dict[int, Tuple[str, Any, Any, str]] = {}
+        requeue: List[int] = []
         try:
-            while inflight or (waiting and not self._drain):
-                while (waiting and not self._drain
+            while inflight or (waiting and not self._stopping(sweep)):
+                while (waiting and not self._stopping(sweep)
                         and pool.has_capacity()):
                     index = waiting.pop(0)
-                    attempt = attempts_used[index] + 1
+                    attempt = sweep.attempts[index] + 1
                     lease = self._next_lease(
-                        groups[index], attempt, plan_dict,
+                        sweep.groups[index], attempt, sweep.plan_dict,
                         telemetry.enabled)
                     if self.journal is not None:
                         self.journal.record_grant(
-                            keys[index], lease.epoch, attempt,
+                            sweep.keys[index], lease.epoch, attempt,
                             lease.lease_id)
-                    attempts_used[index] = attempt
+                    sweep.attempts[index] = attempt
                     pool.submit(lease)
                     inflight[lease.lease_id] = index
                 for event in pool.wait(timeout=1.0):
@@ -517,26 +436,75 @@ class LeaseExecutor:
                     index = inflight.pop(event.lease_id, None)
                     if index is None:
                         continue
-                    group_size = len(groups[index])
+                    group = sweep.groups[index]
                     if event.kind == "result":
-                        outcomes[index] = (event.status, event.value,
-                                           event.snapshot, event.worker)
+                        arrived[index] = (event.status, event.value,
+                                          event.snapshot, event.worker)
                         self._attribute(telemetry, event.worker, "leases")
                         self._attribute(telemetry, event.worker, "specs",
-                                        n=group_size)
-                        if attempts_used[index] > 1:
+                                        n=len(group))
+                        if sweep.attempts[index] > 1:
                             self._attribute(telemetry, event.worker,
                                             "retries")
                     elif event.kind == "expired":
-                        expired[index] = event.worker
+                        telemetry.count("executor.timeouts")
+                        arrived[index] = ("error", _timeout_failure(
+                            group, self.retry), None, event.worker)
                         self._attribute(telemetry, event.worker,
                                         "timeouts")
                     else:  # "lost"
-                        lost[index] = event.worker
+                        arrived[index] = ("error", worker_loss_failure(
+                            len(group), event.worker,
+                            pool_kind=pool.kind), None, event.worker)
                         self._attribute(telemetry, event.worker, "lost")
+                while unresolved and unresolved[0] in arrived:
+                    index = unresolved.pop(0)
+                    if self._resolve(sweep, index, *arrived.pop(index)):
+                        requeue.append(index)
         except BaseException:
             pool.abort()
+            # Checkpoint results that landed ahead of an unfinished
+            # group before the interrupt unwinds.
+            for index in unresolved:
+                outcome = arrived.pop(index, None)
+                if outcome is not None and outcome[0] == "ok":
+                    self._resolve(sweep, index, *outcome)
             raise
+        return requeue + unresolved
+
+    def _resolve(self, sweep: _Sweep, index: int, status: str, value: Any,
+                 snapshot: Optional[Dict[str, Any]], worker: str) -> bool:
+        """Settle one group's attempt; True when it must retry.
+
+        A success or an exhausted failure is final: it is counted,
+        journaled and handed to ``on_result``.  Under ``strict`` an
+        exhausted failure becomes the sweep's error instead.
+        """
+        if snapshot is not None:
+            sweep.telemetry.merge(snapshot,
+                                  source=f"{self.pool.kind}:{worker}")
+        group, key = sweep.groups[index], sweep.keys[index]
+        attempts = sweep.attempts[index]
+        if status == "ok":
+            self.runs_executed += 1
+            if self.journal is not None:
+                self.journal.record_complete(key, attempts)
+        elif attempts < self.retry.max_attempts:
+            return True
+        elif self.strict:
+            if sweep.error is None:
+                sweep.error = _spec_error(group, value, attempts)
+            return False
+        else:
+            value = _failed_payloads(group, value, attempts)
+            self.runs_failed += 1
+            if self.journal is not None:
+                self.journal.record_fail(key)
+        sweep.results[index] = value
+        sweep.completed += 1
+        if sweep.on_result is not None:
+            sweep.on_result(index, group, value)
+        return False
 
     def execute_groups(self, groups: Sequence[Sequence[RunSpec]],
                        on_result: Optional[OnResult] = None
@@ -547,177 +515,78 @@ class LeaseExecutor:
         lease journal's dangling grants when resuming after a
         coordinator crash, clamped so every resumed group keeps at
         least one attempt here); a group that exhausts its budget
-        resolves as a final failure immediately, while the rest keep
-        retrying in waves.
+        resolves as a final failure at once, while the rest keep
+        retrying in waves.  Under ``strict`` the first exhausted group
+        stops new grants, and its :class:`SpecExecutionError` is
+        raised once the leases in flight have landed and checkpointed.
         """
         self.last_interrupt = None
         groups = [list(group) for group in groups]
         if not groups:
             return []
         self.pool.start()
-        telemetry = get_telemetry()
         policy = self.retry
-        plan = active_fault_plan()
-        plan_dict = plan.to_dict() if plan is not None else None
+        journal = self.journal
         keys = ["+".join(spec.digest() for spec in group)
                 for group in groups]
-        results: List[Optional[List[Dict[str, Any]]]] = [None] * len(groups)
-        failures: Dict[int, Dict[str, Any]] = {}
-        completed = 0
-        attempts_used: Dict[int, int] = {}
-        for index in range(len(groups)):
-            prior = self.journal.prior_attempts(keys[index]) \
-                if self.journal is not None else 0
-            attempts_used[index] = min(prior, policy.max_attempts - 1)
-        if self.journal is not None:
+        plan = active_fault_plan()
+        telemetry = get_telemetry()
+        sweep = _Sweep(
+            groups=groups, keys=keys,
+            attempts=[min(journal.prior_attempts(key),
+                          policy.max_attempts - 1)
+                      if journal is not None else 0 for key in keys],
+            results=[None] * len(groups), on_result=on_result,
+            plan_dict=plan.to_dict() if plan is not None else None,
+            telemetry=telemetry)
+        if journal is not None:
             # Continue the fencing sequence past anything a dead
             # coordinator granted, so this coordinator's epochs (and
             # lease ids) can never collide with a zombie's.
-            self._lease_seq = max(self._lease_seq,
-                                  self.journal.max_epoch)
+            self._lease_seq = max(self._lease_seq, journal.max_epoch)
         try:
             pending = list(range(len(groups)))
             wave = 0
-            while pending and not self._drain:
+            while pending and not self._stopping(sweep):
                 wave += 1
                 if wave > 1:
                     telemetry.count("executor.retries", n=len(pending))
                     policy.sleep(policy.backoff(wave - 1))
-                outcomes: Dict[int, Any] = {}
-                expired: Dict[int, str] = {}
-                lost: Dict[int, str] = {}
-                exhausted: List[int] = []
-                try:
-                    self._run_wave(groups, pending, attempts_used, keys,
-                                   plan_dict, telemetry, outcomes,
-                                   expired, lost)
-                finally:
-                    # Resolve in submission order -- even when the wave
-                    # was interrupted -- so telemetry merges
-                    # deterministically (result i belongs to group i)
-                    # and completed groups are checkpointed before the
-                    # interrupt unwinds.
-                    still_pending = []
-                    for index in pending:
-                        if index in expired:
-                            telemetry.count("executor.timeouts")
-                            failures[index] = _timeout_failure(
-                                groups[index], policy)
-                        elif index in lost:
-                            failures[index] = worker_loss_failure(
-                                len(groups[index]), lost[index],
-                                pool_kind=self.pool.kind)
-                        elif index not in outcomes:
-                            # interrupted or drained before an outcome
-                            still_pending.append(index)
-                            continue
-                        else:
-                            status, value, snapshot, worker = \
-                                outcomes[index]
-                            if snapshot is not None:
-                                telemetry.merge(
-                                    snapshot,
-                                    source=f"{self.pool.kind}:{worker}")
-                            if status == "ok":
-                                results[index] = value
-                                self.runs_executed += 1
-                                completed += 1
-                                failures.pop(index, None)
-                                if self.journal is not None:
-                                    self.journal.record_complete(
-                                        keys[index], attempts_used[index])
-                                if on_result is not None:
-                                    on_result(index, groups[index],
-                                              value)
-                                continue
-                            failures[index] = value
-                        if attempts_used[index] >= policy.max_attempts:
-                            exhausted.append(index)
-                        else:
-                            still_pending.append(index)
-                    pending = still_pending
-                # Final failures resolve here, outside the finally, so
-                # an interrupt unwinding through it is never replaced
-                # by a strict-mode error.
-                for index in exhausted:
-                    if self.strict:
-                        raise _spec_error(groups[index], failures[index],
-                                          attempts_used[index])
-                    payloads = _failed_payloads(
-                        groups[index], failures[index],
-                        attempts_used[index])
-                    results[index] = payloads
-                    self.runs_failed += 1
-                    completed += 1
-                    if self.journal is not None:
-                        self.journal.record_fail(keys[index])
-                    if on_result is not None:
-                        on_result(index, groups[index], payloads)
-            if pending and self._drain:
+                pending = self._run_wave(sweep, pending)
+            if sweep.error is not None:
+                raise sweep.error
+            if pending:  # only a drain leaves groups pending
                 raise DrainInterrupt(
                     f"drained with {len(pending)} group(s) pending")
-            if self.journal is not None:
+            if journal is not None:
                 # Clean end of sweep: nothing dangles, budgets must
                 # not leak into unrelated sweeps.
-                self.journal.compact()
+                journal.compact()
         except KeyboardInterrupt:
             # _run_wave has already aborted in-flight leases (a drain
             # waited them out instead); completed groups stay counted
             # and their telemetry stays merged, so a resumed sweep
             # picks up exactly where this one stopped.
-            self.last_interrupt = InterruptReport(completed,
+            self.last_interrupt = InterruptReport(sweep.completed,
                                                   len(groups))
             telemetry.event("executor.interrupted",
-                            completed=completed, total=len(groups))
+                            completed=sweep.completed, total=len(groups))
             raise
         finally:
             # Persistent workers serve one call: none outlives it.
             self.pool.shutdown_idle()
-        return results
-
-
-class ParallelExecutor(LeaseExecutor):
-    """Fans independent specs across cores via local worker processes.
-
-    The historical ``--jobs N`` executor, expressed as a
-    :class:`LeaseExecutor` over a
-    :class:`~repro.engine.pools.LocalProcessPool`.  A single-group
-    wavefront (or ``jobs == 1``) short-circuits to the in-process
-    serial loop -- same results, no process overhead.
-    """
-
-    def __init__(self, jobs: int = 0,
-                 retry: Optional[RetryPolicy] = None,
-                 strict: bool = True) -> None:
-        if jobs <= 0:
-            jobs = multiprocessing.cpu_count()
-        super().__init__(LocalProcessPool(jobs), retry=retry,
-                         strict=strict)
-
-    def execute_groups(self, groups: Sequence[Sequence[RunSpec]],
-                       on_result: Optional[OnResult] = None
-                       ) -> List[List[Dict[str, Any]]]:
-        groups = [list(group) for group in groups]
-        if not groups:
-            return []
-        if len(groups) == 1 or self.jobs == 1:
-            self.last_interrupt = None
-            return _execute_groups_serially(self, groups, on_result)
-        return super().execute_groups(groups, on_result)
+        return sweep.results
 
 
 def make_executor(jobs: int = 1, retry: Optional[RetryPolicy] = None,
                   strict: bool = True,
-                  workers: Optional[str] = None):
-    """Build the executor a CLI invocation asked for.
+                  workers: Optional[str] = None) -> LeaseExecutor:
+    """Build the coordinator a CLI invocation asked for.
 
-    ``workers`` (the ``--workers [N@]HOST:PORT`` spec) selects a
-    socket-pool coordinator; otherwise ``jobs == 1`` -> serial and
-    ``jobs > 1`` -> the local-process parallel executor.
+    Always a :class:`LeaseExecutor`; only its pool differs (see
+    :func:`~repro.engine.pools.make_pool`): ``workers`` (the
+    ``--workers [N@]HOST:PORT`` spec) -> socket agents, ``jobs > 1``
+    -> local worker processes, ``jobs == 1`` -> in-process.
     """
-    if workers:
-        return LeaseExecutor(make_pool(workers=workers), retry=retry,
-                             strict=strict)
-    if jobs == 1:
-        return SerialExecutor(retry=retry, strict=strict)
-    return ParallelExecutor(jobs=jobs, retry=retry, strict=strict)
+    return LeaseExecutor(make_pool(jobs, workers), retry=retry,
+                         strict=strict)

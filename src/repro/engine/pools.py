@@ -7,8 +7,9 @@ backends share the one interface:
 
 ``InProcessPool``
     Executes each lease synchronously in the coordinator process,
-    under the coordinator's own telemetry.  Serial, deterministic, no
-    subprocesses -- the backend tests reach for.
+    under the coordinator's own telemetry, one lease at a time.
+    Serial, deterministic, no subprocesses -- this is what
+    ``--jobs 1`` (the default) resolves to.
 
 ``LocalProcessPool``
     One persistent, killable ``fork`` worker per slot, reused for every
@@ -28,8 +29,8 @@ backends share the one interface:
 A pool never retries, classifies, or merges -- it reports raw
 :class:`PoolEvent` facts ("this lease produced this result", "this
 lease expired", "this lease's worker died") and the coordinator owns
-all policy, which is how serial, local and distributed sweeps stay
-byte-identical.
+all policy in its one loop, which is how serial, local and
+distributed sweeps stay byte-identical.
 """
 
 from __future__ import annotations
@@ -139,6 +140,13 @@ class WorkerPool:
     def abort(self) -> None:
         """Kill/sever every in-flight lease (interrupt path)."""
 
+    def detach(self) -> None:
+        """Let :meth:`close` leave remote agents running (drain hand-off).
+
+        Only a backend whose workers outlive the coordinator needs it;
+        the rest keep the no-op default.
+        """
+
     def shutdown_idle(self) -> None:
         """Stop workers that hold no lease (end of a wavefront call).
 
@@ -154,11 +162,13 @@ class InProcessPool(WorkerPool):
     """Runs each lease synchronously in the coordinator process.
 
     Execution happens under the coordinator's *own* telemetry (no
-    reset, no snapshot) -- exactly like the serial executor -- so a
-    sweep through this pool is the serial sweep with lease-shaped
-    bookkeeping.  Deadlines are classified after the fact: the attempt
-    cannot be interrupted in-process, but an overrun still reports as
-    ``"expired"`` so retry accounting matches the killable backends.
+    reset, no snapshot), so a sweep through this pool is a serial
+    sweep.  Its one slot is busy while a reported event is pending:
+    the coordinator must collect (and checkpoint) each lease's result
+    before it grants the next one.  Deadlines are classified after the
+    fact: the attempt cannot be interrupted in-process, but an overrun
+    still reports as ``"expired"`` so retry accounting matches the
+    killable backends.
     """
 
     kind = "inprocess"
@@ -171,7 +181,7 @@ class InProcessPool(WorkerPool):
         return 1
 
     def has_capacity(self) -> bool:
-        return True
+        return not self._events
 
     def submit(self, lease: Lease) -> None:
         started = time.monotonic()
@@ -858,7 +868,8 @@ def make_pool(jobs: int = 1,
 
     ``workers`` is the ``--workers`` spec ``[N@]HOST:PORT`` -- listen
     on HOST:PORT and wait for N agents (default 1).  Without it,
-    ``jobs`` picks between the in-process and local-process backends.
+    ``jobs`` picks between the in-process and local-process backends
+    (``jobs <= 0`` means one worker per core).
     The socket pool's liveness knobs come from the environment
     (``UMI_HEARTBEAT_S``, ``UMI_LIVENESS_MISSES``) so chaos harnesses
     can tighten them without extra CLI surface.
@@ -882,6 +893,8 @@ def make_pool(jobs: int = 1,
                           min_workers=min_workers,
                           heartbeat_s=heartbeat_s,
                           liveness_misses=liveness)
-    if jobs <= 1:
+    if jobs <= 0:
+        jobs = multiprocessing.cpu_count()
+    if jobs == 1:
         return InProcessPool()
     return LocalProcessPool(jobs)

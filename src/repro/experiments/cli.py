@@ -432,9 +432,7 @@ def _run_experiments(args, names: List[str], store,
         # pass, stops granting, lets in-flight leases finish, and
         # raises DrainInterrupt -- agents are severed, not shut down,
         # so their rejoin loops find the replacement coordinator.
-        drainer = getattr(cache.engine.executor, "request_drain", None)
-        if drainer is not None:
-            drainer()
+        cache.engine.executor.request_drain()
 
     previous = None
     try:
@@ -457,12 +455,10 @@ def _run_experiments(args, names: List[str], store,
 
 
 def _worker_banner(cache: ResultCache) -> None:
-    """Per-worker breakdown lines after a pooled wavefront."""
+    """Per-worker breakdown lines after a wavefront."""
     executor = cache.engine.executor
-    stats = getattr(executor, "worker_stats", None)
-    if not stats:
-        return
-    kind = getattr(executor, "pool_kind", "?")
+    stats = executor.worker_stats
+    kind = executor.pool_kind
     for worker in sorted(stats):
         s = stats[worker]
         liveness = ""
@@ -504,8 +500,7 @@ def _run_with_cache(args, names: List[str], store,
         try:
             cache.prefill(wavefront)
         except DrainInterrupt:  # before KeyboardInterrupt: a subclass
-            report = getattr(cache.engine.executor, "last_interrupt",
-                             None)
+            report = cache.engine.executor.last_interrupt
             done = (f"{report.completed}/{report.total} groups"
                     if report is not None else "partial progress")
             hint = (f"; restart with --store {store} --resume to "
@@ -516,8 +511,7 @@ def _run_with_cache(args, names: List[str], store,
             _worker_banner(cache)
             return 143
         except KeyboardInterrupt:
-            report = getattr(cache.engine.executor, "last_interrupt",
-                             None)
+            report = cache.engine.executor.last_interrupt
             done = (f"{report.completed}/{report.total} groups"
                     if report is not None else "partial progress")
             hint = (f"; resume with --store {store} --resume"

@@ -3,8 +3,8 @@
 Experiments share a :class:`ResultCache`, a thin view over the
 execution engine (:mod:`repro.engine`): every run request becomes a
 declarative :class:`~repro.engine.RunSpec`, resolved through the
-engine's in-process memo, an optional persistent result store, and a
-serial or parallel executor.  A run needed by several tables/figures
+engine's in-process memo, an optional persistent result store, and
+the lease coordinator (in-process, or over worker processes).  A run needed by several tables/figures
 (e.g. the UMI-with-sampling Pentium 4 run feeds Table 4, Table 6 and
 Figure 2) therefore happens once per process -- or once *ever*, with a
 warm store.
@@ -57,8 +57,8 @@ class ResultCache:
     """Spec-building facade over the execution engine.
 
     Memoizes program/machine builds in-process and delegates every run
-    to an :class:`~repro.engine.ExecutionEngine` -- pass ``jobs`` for a
-    parallel executor and/or ``store`` (a directory path or
+    to an :class:`~repro.engine.ExecutionEngine` -- pass ``jobs`` for
+    local worker processes and/or ``store`` (a directory path or
     :class:`~repro.engine.ResultStore`) for cross-process persistence.
     """
 

@@ -14,7 +14,7 @@ and renders identically in the Prometheus text format.
 
 Snapshots (:meth:`MetricsRegistry.snapshot`) are plain sorted lists of
 dicts; :meth:`MetricsRegistry.merge` folds a snapshot back into a
-registry, which is how per-worker registries from the parallel executor
+registry, which is how per-worker registries from the worker pools
 are combined deterministically in the parent process (workers are
 merged in spec submission order, and every combine rule -- sum, min,
 max, last-write -- is order-insensitive for counters/histograms/timers).

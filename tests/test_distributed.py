@@ -1,8 +1,8 @@
 """Tests for the distributed execution stack: pools and coordinator.
 
 The contract under test: every worker backend -- in-process, dedicated
-local processes, socket-connected agents -- hands the coordinator
-byte-identical sweep results, and a worker that dies while holding a
+local processes, socket-connected agents -- hands the one coordinator
+byte-identical sweep results, equal to running each spec directly, and a worker that dies while holding a
 lease is a crash fault the coordinator absorbs (the lease requeues on
 a surviving worker) rather than an error the sweep surfaces.
 
@@ -21,8 +21,8 @@ import pytest
 
 from repro.engine import (
     InProcessPool, LeaseExecutor, LeaseJournal, LocalProcessPool,
-    ParallelExecutor, RetryPolicy, RunSpec, SerialExecutor, SocketPool,
-    SpecExecutionError, is_failed_payload, make_executor, make_pool,
+    RetryPolicy, RunSpec, SocketPool, SpecExecutionError,
+    execute_spec_payload, is_failed_payload, make_executor, make_pool,
     run_lease,
 )
 from repro.engine.protocol import (
@@ -63,7 +63,8 @@ def canonical(payloads):
 
 
 def serial_sweep():
-    return SerialExecutor().execute(sweep_specs())
+    """The reference: each spec executed directly, no coordinator."""
+    return [execute_spec_payload(spec) for spec in sweep_specs()]
 
 
 def start_agent(host, port, name):
@@ -108,7 +109,7 @@ class TestInProcessPool:
 
 class TestLocalProcessPool:
     def test_sweep_matches_serial_byte_identically(self):
-        executor = ParallelExecutor(jobs=2)
+        executor = LeaseExecutor(LocalProcessPool(2))
         payloads = executor.execute(sweep_specs())
         executor.close()
         assert canonical(payloads) == canonical(serial_sweep())
@@ -266,7 +267,7 @@ class TestLivenessAndFencing:
             executor.close()
         zombie.join(timeout=10.0)
         assert canonical(payloads) == canonical(
-            SerialExecutor().execute([native_spec()]))
+            [execute_spec_payload(native_spec())])
         stats = executor.worker_stats["a"]
         assert stats["heartbeats_missed"] >= 2
         assert stats["lost"] == 1
@@ -472,5 +473,12 @@ class TestPoolSelection:
         assert isinstance(executor, LeaseExecutor)
         assert executor.pool_kind == "socket"
         executor.close()
-        assert isinstance(make_executor(jobs=1), SerialExecutor)
-        assert isinstance(make_executor(jobs=2), ParallelExecutor)
+        # Every sweep runs through the one coordinator; --jobs only
+        # picks its pool.
+        serial = make_executor(jobs=1)
+        assert isinstance(serial, LeaseExecutor)
+        assert isinstance(serial.pool, InProcessPool)
+        parallel = make_executor(jobs=2)
+        assert isinstance(parallel, LeaseExecutor)
+        assert isinstance(parallel.pool, LocalProcessPool)
+        assert parallel.jobs == 2

@@ -1,8 +1,8 @@
 """Tests for the execution engine: specs, executors, store, batching.
 
 Covers the correctness preconditions of the persistent result store
-(determinism of repeated runs, serial/parallel equivalence, schema
-rejection) and the engine's caching contract (zero re-executed runs on
+(determinism of repeated runs, in-process/local-pool equivalence,
+schema rejection) and the engine's caching contract (zero re-executed runs on
 a warm store, verified via executor call counts).
 """
 
@@ -11,8 +11,8 @@ import json
 import pytest
 
 from repro.engine import (
-    ExecutionEngine, ParallelExecutor, ResultStore, RunSpec,
-    SerialExecutor, execute_spec, execute_spec_payload, plan_groups,
+    ExecutionEngine, ResultStore, RunSpec, execute_spec,
+    execute_spec_payload, make_executor, plan_groups,
 )
 from repro.experiments import ResultCache
 from repro.experiments import table1, table2
@@ -111,8 +111,9 @@ class TestDeterminism:
 
     def test_parallel_executor_matches_serial(self):
         specs = [native_spec(), native_spec(hw_prefetch=True), umi_spec()]
-        serial = SerialExecutor().execute(specs)
-        parallel = ParallelExecutor(jobs=2).execute(specs)
+        # One coordinator over the in-process and the local pool.
+        serial = make_executor(jobs=1).execute(specs)
+        parallel = make_executor(jobs=2).execute(specs)
         assert serial == parallel  # full payloads, deterministic order
 
     def test_payload_is_json_stable(self):

@@ -1,12 +1,12 @@
 """Tests for the resilience layer: fault plans, retries, quarantine.
 
 The load-bearing property is *determinism*: a seeded fault plan run
-through the serial executor and through the parallel executor must
-produce byte-identical ``FailedRun`` payloads and identical retry /
-timeout counter values, because fault decisions are pure functions of
-``(seed, kind, spec digest, attempt)`` and failures are captured at the
-single :func:`repro.engine.attempt.attempt_group` seam both executors
-share.  The rest covers each fault class end to end: crash-then-retry
+through the coordinator over the in-process pool and over the local
+process pool must produce byte-identical ``FailedRun`` payloads and
+identical retry / timeout counter values, because fault decisions are
+pure functions of ``(seed, kind, spec digest, attempt)`` and failures
+are captured at the single :func:`repro.engine.attempt.attempt_group`
+seam both pools share.  The rest covers each fault class end to end: crash-then-retry
 recovery, deadline classification, consumer quarantine, torn-record
 detection and repair, checkpoint/resume, interrupt handling, and the
 CLI surface.
@@ -25,9 +25,9 @@ import pytest
 import repro
 import repro.engine.pools as pools
 from repro.engine import (
-    ExecutionEngine, FailedRun, InterruptReport, ParallelExecutor,
-    ResultStore, RetryPolicy, RunSpec, SerialExecutor,
-    SpecExecutionError, is_failed_payload, plan_groups,
+    ExecutionEngine, FailedRun, InProcessPool, InterruptReport,
+    LeaseExecutor, ResultStore, RetryPolicy, RunSpec, SpecExecutionError,
+    is_failed_payload, make_executor, plan_groups,
 )
 from repro.experiments.cli import main
 from repro.engine.protocol import (
@@ -301,7 +301,7 @@ class TestRetryPolicy:
         slept = []
         pol = RetryPolicy(max_attempts=2, backoff_base=0.25,
                           sleep=slept.append)
-        ex = SerialExecutor(retry=pol, strict=True)
+        ex = make_executor(retry=pol, strict=True)
         with fault_injection(crash_plan(WORKLOAD, attempts=1)):
             payloads = ex.execute([native_spec()])
         assert payloads[0]["kind"] == "run_outcome"
@@ -310,7 +310,7 @@ class TestRetryPolicy:
         assert counter("executor.retries") == 1
 
     def test_strict_raises_after_exhausting_attempts(self):
-        ex = SerialExecutor(retry=policy(attempts=2), strict=True)
+        ex = make_executor(retry=policy(attempts=2), strict=True)
         with fault_injection(crash_plan(WORKLOAD)):
             with pytest.raises(SpecExecutionError) as excinfo:
                 ex.execute([native_spec()])
@@ -320,14 +320,12 @@ class TestRetryPolicy:
 
 
 class TestFaultDeterminism:
-    """Same seed, same plan -> identical residue, serial or parallel."""
+    """Same seed, same plan -> identical residue on either local pool."""
 
     def _sweep(self, parallel, plan, pol):
         TELEMETRY.reset()
-        if parallel:
-            ex = ParallelExecutor(jobs=2, retry=pol, strict=False)
-        else:
-            ex = SerialExecutor(retry=pol, strict=False)
+        ex = make_executor(jobs=2 if parallel else 1, retry=pol,
+                           strict=False)
         with fault_injection(plan):
             results = ex.execute_groups(
                 [[native_spec()], [native_spec(OTHER)]])
@@ -356,7 +354,7 @@ class TestFaultDeterminism:
     def test_timeout_classification_identical(self, global_telemetry):
         # The deadline must be generous enough that only the hung
         # group overruns it -- the clean group's real run (and, in the
-        # parallel sweep, pool startup) must fit inside it.
+        # local-pool sweep, worker startup) must fit inside it.
         plan = FaultPlan(seed=3, rules=(
             FaultRule(kind="hang", match=WORKLOAD, attempts=99,
                       hang_seconds=2.5),))
@@ -383,8 +381,8 @@ class TestFaultDeterminism:
                       hang_seconds=0.8),))
         specs = [native_spec(), native_spec(OTHER),
                  native_spec("255.vortex"), native_spec("179.art")]
-        ex = ParallelExecutor(jobs=2, retry=policy(timeout=1.5),
-                              strict=False)
+        ex = make_executor(jobs=2, retry=policy(timeout=1.5),
+                           strict=False)
         with fault_injection(plan):
             results = ex.execute_groups([[s] for s in specs])
         assert counter("executor.timeouts") == 0
@@ -399,9 +397,8 @@ class TestFaultDeterminism:
         plan = FaultPlan(seed=1, rules=(
             FaultRule(kind="hang", match="*", attempts=99,
                       hang_seconds=8.0),))
-        ex = ParallelExecutor(jobs=2, retry=policy(attempts=2,
-                                                   timeout=0.4),
-                              strict=False)
+        ex = make_executor(jobs=2, retry=policy(attempts=2, timeout=0.4),
+                           strict=False)
         start = time.monotonic()
         with fault_injection(plan):
             results = ex.execute_groups([[native_spec()],
@@ -447,11 +444,11 @@ class TestLocalPoolContract:
         return started
 
     def _serial(self, groups):
-        return SerialExecutor().execute_groups(groups)
+        return make_executor().execute_groups(groups)
 
     def test_wavefront_forks_one_worker_per_slot(self, starts):
         groups = [[spec] for spec in self.SPECS]
-        ex = ParallelExecutor(jobs=2, retry=policy())
+        ex = make_executor(jobs=2, retry=policy())
         results = ex.execute_groups(groups)
         assert sorted(starts) == ["local/0", "local/1"]
         assert ex.runs_executed == len(groups)
@@ -473,7 +470,7 @@ class TestLocalPoolContract:
 
         monkeypatch.setattr(pools, "run_lease", run_lease)
         groups = [[spec] for spec in self.SPECS]
-        ex = ParallelExecutor(jobs=2, retry=policy(attempts=2))
+        ex = make_executor(jobs=2, retry=policy(attempts=2))
         results = ex.execute_groups(groups)
         assert ex.worker_stats["local/0"]["lost"] == 1
         assert sum(s["lost"] for s in ex.worker_stats.values()) == 1
@@ -491,8 +488,7 @@ class TestLocalPoolContract:
             FaultRule(kind="hang", match=WORKLOAD, attempts=1,
                       hang_seconds=30.0),))
         groups = [[spec] for spec in self.SPECS]
-        ex = ParallelExecutor(jobs=2, retry=policy(attempts=2,
-                                                   timeout=3.0))
+        ex = make_executor(jobs=2, retry=policy(attempts=2, timeout=3.0))
         with fault_injection(plan):
             results = ex.execute_groups(groups)
         assert ex.worker_stats["local/0"]["timeouts"] == 1
@@ -535,8 +531,8 @@ class TestLocalPoolContract:
         groups = plan_groups(specs)
         assert any(len(group) > 1 for group in groups)
         serial = self._serial(groups)
-        forward = ParallelExecutor(jobs=2).execute_groups(groups)
-        backward = ParallelExecutor(jobs=2).execute_groups(groups[::-1])
+        forward = make_executor(jobs=2).execute_groups(groups)
+        backward = make_executor(jobs=2).execute_groups(groups[::-1])
         expected = json.dumps(serial, sort_keys=True)
         assert json.dumps(forward, sort_keys=True) == expected
         assert json.dumps(backward[::-1], sort_keys=True) == expected
@@ -552,7 +548,7 @@ class TestFusedMemberAttribution:
     def test_crashing_member_is_named(self):
         group = self._fused_group()
         plan = crash_plan(group[1].digest()[:12])
-        ex = SerialExecutor(retry=policy(), strict=True)
+        ex = make_executor(retry=policy(), strict=True)
         with fault_injection(plan):
             with pytest.raises(SpecExecutionError) as excinfo:
                 ex.execute_groups([group])
@@ -562,7 +558,7 @@ class TestFusedMemberAttribution:
     def test_member_recorded_in_failed_payloads(self):
         group = self._fused_group()
         plan = crash_plan(group[1].digest()[:12])
-        ex = SerialExecutor(retry=policy(), strict=False)
+        ex = make_executor(retry=policy(), strict=False)
         with fault_injection(plan):
             results = ex.execute_groups([group])
         assert [p["failed_member"] for p in results[0]] \
@@ -575,11 +571,11 @@ class TestFusedMemberAttribution:
         monkeypatch.setattr("repro.engine.attempt.run_native_fused",
                             explode)
         group = self._fused_group()
-        ex = SerialExecutor(retry=policy(), strict=True)
+        ex = make_executor(retry=policy(), strict=True)
         with pytest.raises(SpecExecutionError) as excinfo:
             ex.execute_groups([group])
         assert "shared fused execution of 2 specs" in str(excinfo.value)
-        strict_free = SerialExecutor(retry=policy(), strict=False)
+        strict_free = make_executor(retry=policy(), strict=False)
         results = strict_free.execute_groups([group])
         assert all(p["failed_member"] is None for p in results[0])
 
@@ -740,7 +736,7 @@ class TestInterrupts:
 
     def test_serial_interrupt_reports_progress(self, global_telemetry):
         calls, on_result = self._interrupt_after_first()
-        ex = SerialExecutor(retry=policy())
+        ex = make_executor(retry=policy())
         with pytest.raises(KeyboardInterrupt):
             ex.execute_groups([[native_spec()], [native_spec(OTHER)]],
                               on_result=on_result)
@@ -751,13 +747,76 @@ class TestInterrupts:
 
     def test_parallel_interrupt_terminates_pool_cleanly(self):
         calls, on_result = self._interrupt_after_first()
-        ex = ParallelExecutor(jobs=2, retry=policy())
+        ex = make_executor(jobs=2, retry=policy())
         with pytest.raises(KeyboardInterrupt):
             ex.execute_groups([[native_spec()], [native_spec(OTHER)]],
                               on_result=on_result)
         assert ex.last_interrupt is not None
         assert ex.last_interrupt.total == 2
         assert ex.last_interrupt.completed >= 1
+
+
+class TestInProcessCoordinator:
+    """A serial sweep is the coordinator over an in-process pool; it
+    must keep the serial loop's guarantees: each group is checkpointed
+    before the next one starts, an interrupt keeps everything done so
+    far, and strict mode stops at the first exhausted group."""
+
+    SPECS = [native_spec(), native_spec(OTHER), native_spec("255.vortex")]
+
+    @pytest.fixture
+    def attempts(self, monkeypatch):
+        """``("attempt", workload)`` per attempt the pool starts; a
+        ``KeyboardInterrupt`` in place of the workload in ``raise_on``."""
+        log, raise_on = [], set()
+        real_attempt = pools.attempt_group
+
+        def attempt_group(group, attempt):
+            workload = group[0].workload
+            log.append(("attempt", workload))
+            if workload in raise_on:
+                raise KeyboardInterrupt
+            return real_attempt(group, attempt)
+
+        monkeypatch.setattr(pools, "attempt_group", attempt_group)
+        return log, raise_on
+
+    def test_each_group_checkpoints_before_the_next_starts(self,
+                                                           attempts):
+        log, _ = attempts
+        ex = LeaseExecutor(InProcessPool(), retry=policy())
+        ex.execute_groups([[spec] for spec in self.SPECS],
+                          on_result=lambda index, group, payloads:
+                          log.append(("result", group[0].workload)))
+        assert log == [(kind, spec.workload) for spec in self.SPECS
+                       for kind in ("attempt", "result")]
+
+    def test_interrupt_keeps_completed_groups_in_the_store(
+            self, attempts, tmp_path):
+        _, raise_on = attempts
+        raise_on.add(self.SPECS[2].workload)
+        executor = LeaseExecutor(InProcessPool(), retry=policy())
+        engine = ExecutionEngine(executor=executor,
+                                 store=ResultStore(tmp_path / "store"))
+        with pytest.raises(KeyboardInterrupt):
+            engine.run_many(self.SPECS)
+        engine.close()
+        store = ResultStore(tmp_path / "store")
+        assert [spec in store for spec in self.SPECS] \
+            == [True, True, False]
+        assert executor.last_interrupt \
+            == InterruptReport(completed=2, total=3)
+
+    def test_strict_stops_after_the_first_exhausted_group(self,
+                                                          attempts):
+        log, _ = attempts
+        ex = LeaseExecutor(InProcessPool(), retry=policy(), strict=True)
+        with fault_injection(crash_plan(WORKLOAD)):
+            with pytest.raises(SpecExecutionError) as excinfo:
+                ex.execute_groups([[spec] for spec in self.SPECS])
+        assert excinfo.value.spec == self.SPECS[0]
+        assert log == [("attempt", WORKLOAD)]
+        assert ex.runs_executed == 0
 
 
 class TestAcceptanceWavefront:
@@ -778,15 +837,14 @@ class TestAcceptanceWavefront:
                       hang_seconds=30.0),
         ))
 
-        clean_ex = SerialExecutor(retry=RetryPolicy(), strict=True)
+        clean_ex = make_executor(retry=RetryPolicy(), strict=True)
         clean = clean_ex.execute_groups(groups)
 
         # The per-group deadline is measured from each group's own
         # process start -- only the deliberately hung group may
         # overrun it.
-        ex = ParallelExecutor(jobs=2, retry=policy(attempts=2,
-                                                   timeout=2.0),
-                              strict=False)
+        ex = make_executor(jobs=2, retry=policy(attempts=2, timeout=2.0),
+                           strict=False)
         with fault_injection(plan):
             chaos = ex.execute_groups(groups)
 

@@ -5,8 +5,8 @@ Covers the four guarantees the subsystem makes:
 * disabled mode is a strict no-op (shared no-op span, empty snapshot,
   bounded per-call overhead) -- the engine wavefront records nothing;
 * span nesting and event ordering are deterministic;
-* a parallel executor run merges worker registries into exactly the
-  counters a serial run of the same specs produces;
+* a local-pool run merges worker registries into exactly the counters
+  an in-process run of the same specs produces;
 * the JSONL event log and metric snapshots round-trip through the
   exporters;
 
@@ -20,8 +20,8 @@ import time
 import pytest
 
 from repro.engine import (
-    ExecutionEngine, ParallelExecutor, ResultStore, RunSpec,
-    SerialExecutor, SpecExecutionError,
+    ExecutionEngine, ResultStore, RunSpec, SpecExecutionError,
+    make_executor,
 )
 from repro.serialize import SCHEMA_VERSION
 from repro.telemetry import (
@@ -187,18 +187,19 @@ class TestParallelMergeEqualsSerial:
                                                     global_telemetry):
         specs = [native_spec(), umi_spec()]
         global_telemetry.enable()
-        SerialExecutor().execute(specs)
+        make_executor(jobs=1).execute(specs)
         serial = global_telemetry.snapshot()
 
         global_telemetry.reset()
-        executor = ParallelExecutor(jobs=2)
+        executor = make_executor(jobs=2)
         executor.execute(specs)
         parallel = global_telemetry.snapshot()
 
         assert executor.runs_executed == 2
         # The pool.* namespace attributes leases to worker ids -- it is
-        # deliberately backend-specific (a serial run has no workers),
-        # so the serial==parallel contract covers everything else.
+        # deliberately backend-specific (labelled by pool kind and
+        # worker), so the in-process == local contract covers
+        # everything else.
         drop_pool = lambda counters: {
             key: value for key, value in counters.items()
             if not key[0].startswith("pool.")
@@ -354,23 +355,15 @@ class TestExecutorFailures:
         bad = RunSpec.native("no-such-workload", SCALE, "pentium4",
                              MACHINE_SCALE)
         good = native_spec()
-        executor = ParallelExecutor(jobs=2)
+        executor = make_executor(jobs=2)
         with pytest.raises(SpecExecutionError) as excinfo:
             executor.execute([bad, good])
         assert bad.digest()[:12] in str(excinfo.value)
         assert "no-such-workload" in str(excinfo.value)
         assert excinfo.value.spec == bad
-        # The good spec completed and is counted; the bad one is not.
+        # The good spec was already in flight: it completed and is
+        # counted before the error is raised; the bad one is not.
         assert executor.runs_executed == 1
-
-    def test_serial_fallback_crash_names_spec(self):
-        bad = RunSpec.native("no-such-workload", SCALE, "pentium4",
-                             MACHINE_SCALE)
-        executor = ParallelExecutor(jobs=1)
-        with pytest.raises(SpecExecutionError) as excinfo:
-            executor.execute([bad])
-        assert executor.runs_executed == 0
-        assert bad.digest()[:12] in str(excinfo.value)
 
 
 class TestCLITelemetry:
@@ -444,7 +437,7 @@ class TestOverviewUnits:
         groups = plan_groups(specs)
         assert [len(group) for group in groups] == [3]
         global_telemetry.enable()
-        SerialExecutor().execute_groups(groups)
+        make_executor().execute_groups(groups)
 
         spans = [e for e in global_telemetry.events
                  if e.get("name") == "executor.spec"]

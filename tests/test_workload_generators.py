@@ -6,13 +6,13 @@ processes rebuild programs from nothing but the workload *name* plus
 ``gen:...`` workloads: every instance validates as a program, stays
 inside the footprint budget, rebuilds byte-identically (fresh
 materialization, any process), and produces identical payloads under
-the serial and parallel executors.
+the in-process and local-process pools.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import ParallelExecutor, RunSpec, SerialExecutor
+from repro.engine import RunSpec, make_executor
 from repro.isa import program_digest
 from repro.isa.validate import validate_program
 from repro.workloads import (
@@ -163,6 +163,6 @@ class TestExecutorDeterminism:
                            "pentium4", 16),
             RunSpec.native("gen:ptrgraph:s0", 0.05, "pentium4", 16),
         ]
-        serial = SerialExecutor().execute(specs)
-        parallel = ParallelExecutor(jobs=2).execute(specs)
+        serial = make_executor(jobs=1).execute(specs)
+        parallel = make_executor(jobs=2).execute(specs)
         assert serial == parallel

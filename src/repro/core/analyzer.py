@@ -105,10 +105,7 @@ class MiniCacheSimulator:
         self.pc_stats: Dict[int, OpSimResult] = {}
         # Memoization state.  Epoch 0 is the flushed (empty) cache; every
         # live analysis moves the cache to a fresh epoch, and a memo hit
-        # moves it to the recorded entry's end epoch.  Snapshots only
-        # exist on the array engine; with a custom cache the memo stays
-        # off and analyses always run live.
-        self.memoize = self.cache._fast
+        # moves it to the recorded entry's end epoch.
         self.memo_hits = 0
         self._memo: Dict[tuple, tuple] = {}
         self._state_epoch = 0
@@ -157,7 +154,7 @@ class MiniCacheSimulator:
 
         key = None
         entry = None
-        if self.memoize and self.cache._plain:
+        if self.cache._plain:
             key = (profile.trace_head, skip, self._state_epoch,
                    profile.content_key())
             entry = self._memo.get(key)

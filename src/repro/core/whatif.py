@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.memory.cache import Cache, CacheConfig
+from repro.memory.cache import CacheConfig, make_cache
 from repro.memory.policies import make_policy
 
 from .profiles import AddressProfile
@@ -58,8 +58,8 @@ class WhatIfExplorer:
             raise ValueError("scenario names must be unique")
         self.scenarios = list(scenarios)
         self.warmup_executions = warmup_executions
-        self._caches: List[Cache] = [
-            Cache(s.cache, make_policy(s.replacement)) for s in scenarios
+        self._caches = [
+            make_cache(s.cache, make_policy(s.replacement)) for s in scenarios
         ]
         self.results: Dict[str, ScenarioResult] = {
             s.name: ScenarioResult(s) for s in scenarios

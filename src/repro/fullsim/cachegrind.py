@@ -97,7 +97,7 @@ class CachegrindSimulator(RefConsumer):
         #: load side is recovered as the difference at view time.
         #: Misses are rare, so they are counted eagerly under
         #: per-(is_write, pc) pair keys; ``True``/``1`` keys collide by
-        #: design (``hash(True) == hash(1)``), so tuple- and column-fed
+        #: design (``hash(True) == hash(1)``), so observe- and column-fed
         #: drains merge cleanly.
         self._refs_all: Counter = Counter()
         self._refs_w: Counter = Counter()
@@ -156,13 +156,6 @@ class CachegrindSimulator(RefConsumer):
             observe = self.observe
             for p, a, s, k in zip(pcs, addrs, sizes, kinds):
                 observe(p, a, k == KIND_WRITE, s)
-
-    def on_refs(self, batch) -> None:
-        """Legacy tuple delivery; same filtering as :meth:`on_batch`."""
-        observe = self.observe
-        for ev in batch:
-            if ev[3] != KIND_IFETCH:
-                observe(ev[0], ev[1], ev[3] == KIND_WRITE, ev[2])
 
     def finish(self) -> None:
         self._drain()

@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 from typing import IO, Iterable, Optional, Tuple, Union
 
-from repro.memory.cache import Cache, CacheConfig
+from repro.memory.cache import CacheConfig, make_cache
 from repro.memory.policies import make_policy
 from repro.vm.tracing import replay_din
 
@@ -61,7 +61,7 @@ def simulate_trace(references: Iterable[Tuple[bool, int]],
                    config: CacheConfig,
                    policy: str = "lru") -> DineroResult:
     """Run ``(is_write, byte address)`` references through one cache."""
-    cache = Cache(config, make_policy(policy))
+    cache = make_cache(config, make_policy(policy))
     line_bits = config.line_bits
     reads = read_misses = writes = write_misses = 0
     for t, (is_write, addr) in enumerate(references):

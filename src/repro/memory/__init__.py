@@ -5,7 +5,7 @@ K7 memory systems) as well as providing the generic set-associative cache
 used by the Cachegrind-style full simulator and UMI's mini-simulator.
 """
 
-from .cache import Cache, CacheConfig, CacheStats
+from .cache import Cache, CacheConfig, CacheStats, make_cache
 from .configs import (
     ATHLON_K7, DEFAULT_MACHINE_SCALE, MACHINES, PENTIUM4, XEON,
     get_machine, make_hw_prefetcher,
@@ -24,7 +24,7 @@ from .prefetch import (
 from .tlb import PAGE_BITS, TLB, TLBStats
 
 __all__ = [
-    "Cache", "CacheConfig", "CacheStats", "CacheLine",
+    "Cache", "CacheConfig", "CacheStats", "CacheLine", "make_cache",
     "MachineConfig", "MemoryHierarchy",
     "ReplacementPolicy", "LRUPolicy", "FIFOPolicy", "RandomPolicy",
     "BitPLRUPolicy", "make_policy",

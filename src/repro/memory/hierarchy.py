@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.stream import LineStream
+from repro.stream import BATCH_SIZE, LineStream
 
-from .cache import Cache, CacheConfig, CacheStats
+from .cache import Cache, CacheConfig, make_cache
 from .policies import make_policy
 from .prefetch import HardwarePrefetcher
 
@@ -75,18 +75,24 @@ class MachineConfig:
         )
 
 
+def _hit_lane(cache):
+    """``cache``'s inline hit lane, or ``None`` unless it is an array
+    :class:`Cache` (a reference cache takes the probe path)."""
+    return cache.hit_lane() if isinstance(cache, Cache) else None
+
+
 class MemoryHierarchy:
     """L1D + L2 + memory, with optional hardware prefetchers at the L2."""
 
     def __init__(self, config: MachineConfig,
                  hw_prefetcher: Optional[HardwarePrefetcher] = None,
-                 line_batch_size: Optional[int] = None) -> None:
+                 line_batch_size: int = BATCH_SIZE) -> None:
         if config.l1.line_size != config.l2.line_size:
             raise ValueError("L1 and L2 line sizes must match in this model")
         self.config = config
-        self.l1 = Cache(config.l1, make_policy(config.replacement))
-        self.l2 = Cache(config.l2, make_policy(config.replacement))
-        self.l1i = (Cache(config.l1i, make_policy(config.replacement))
+        self.l1 = make_cache(config.l1, make_policy(config.replacement))
+        self.l2 = make_cache(config.l2, make_policy(config.replacement))
+        self.l1i = (make_cache(config.l1i, make_policy(config.replacement))
                     if config.l1i else None)
         self.hw_prefetcher = hw_prefetcher
         #: optional data TLB (see :mod:`repro.memory.tlb`); attach one
@@ -94,8 +100,6 @@ class MemoryHierarchy:
         self.tlb = None
         #: demand line-access events publish here in columnar batches;
         #: the hardware counters and phase detector attach as consumers.
-        #: ``line_batch_size`` overrides the stream default (which in
-        #: turn honours ``UMI_STREAM_BATCH``).
         self.line_stream = LineStream(batch_size=line_batch_size)
         # Bound column appends, hoisted once (the buffers are stable).
         stream = self.line_stream
@@ -104,9 +108,9 @@ class MemoryHierarchy:
                            stream.l2_hits.append)
         self._line_bits = config.l1.line_bits
         self._line_size = config.l1.line_size
-        # Inlined L1 hit lanes (``None`` on the dict engine).
-        self._l1_lane = self.l1.hit_lane()
-        self._l1i_lane = self.l1i.hit_lane() if self.l1i else None
+        # Inlined L1 hit lanes, on array-engine levels only.
+        self._l1_lane = _hit_lane(self.l1)
+        self._l1i_lane = _hit_lane(self.l1i)
         self.sw_prefetches_issued = 0
         # Per-PC L2 accounting, filled only when enabled (the Cachegrind
         # baseline and delinquent-load ground truth need it).

@@ -2,15 +2,10 @@
 
 A consumer receives *batches* of events, never single callbacks -- the
 producer buffers and amortizes dispatch, so a consumer's per-batch cost
-is one method call plus its own loop.  The native delivery format is
-columnar: ``on_batch`` receives a
-:class:`~repro.stream.events.RefBatch` (``on_line_batch`` a
-:class:`~repro.stream.events.LineBatch`) whose parallel arrays can be
-swept with C-speed builtins.  The base-class defaults shim columnar
-batches to the legacy per-event-tuple hooks (``on_refs`` /
-``on_lines``), so a consumer only implementing those keeps working;
-hot consumers override ``on_batch`` and read the columns directly.
-The lifecycle is::
+is one method call plus its own loop.  Delivery is columnar only:
+``on_batch`` receives a :class:`~repro.stream.events.RefBatch`
+(``on_line_batch`` a :class:`~repro.stream.events.LineBatch`) whose
+parallel arrays can be swept with C-speed builtins.  The lifecycle is::
 
     on_batch(batch)*  on_epoch(info)*  finish()
 
@@ -25,7 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from .events import LineBatch, LineEvent, MemoryEvent, RefBatch
+from .events import LineBatch, MemoryEvent, RefBatch
 
 
 class RefConsumer:
@@ -37,15 +32,7 @@ class RefConsumer:
     wants_ifetch: bool = False
 
     def on_batch(self, batch: RefBatch) -> None:
-        """One columnar batch of raw references, in program order.
-
-        The default materializes the tuple view and forwards to
-        :meth:`on_refs`, so legacy subclasses keep working unchanged.
-        """
-        self.on_refs(batch.to_events())
-
-    def on_refs(self, batch: List[MemoryEvent]) -> None:
-        """Legacy hook: one batch of per-event tuples, in order."""
+        """One columnar batch of raw references, in program order."""
 
     def on_epoch(self, info: Dict[str, Any]) -> None:
         """An analysis epoch boundary (buffered events already flushed)."""
@@ -62,14 +49,7 @@ class LineConsumer:
     """Base class for line-event consumers (the hierarchy's plane)."""
 
     def on_line_batch(self, batch: LineBatch) -> None:
-        """One columnar batch of demand line accesses, in order.
-
-        Defaults to materializing tuples for :meth:`on_lines`.
-        """
-        self.on_lines(batch.to_events())
-
-    def on_lines(self, batch: List[LineEvent]) -> None:
-        """Legacy hook: one batch of per-event tuples, in order."""
+        """One columnar batch of demand line accesses, in order."""
 
     def finish(self) -> None:
         """The producing run completed."""
@@ -81,9 +61,6 @@ class LineConsumer:
 class NullRefConsumer(RefConsumer):
     """A consumer that does nothing: the pipeline-overhead yardstick."""
 
-    def on_batch(self, batch: RefBatch) -> None:
-        """Discard the batch without materializing the tuple view."""
-
 
 class CollectingRefConsumer(RefConsumer):
     """Accumulates every event; test/debug helper, not for long runs."""
@@ -93,8 +70,10 @@ class CollectingRefConsumer(RefConsumer):
         self.epochs: List[Dict[str, Any]] = []
         self.finished = False
 
-    def on_refs(self, batch: List[MemoryEvent]) -> None:
-        self.events.extend(batch)
+    def on_batch(self, batch: RefBatch) -> None:
+        self.events.extend(map(MemoryEvent, batch.pcs, batch.addrs,
+                               batch.sizes, batch.kinds, batch.cycles,
+                               batch.trace_ids()))
 
     def on_epoch(self, info: Dict[str, Any]) -> None:
         self.epochs.append(dict(info))

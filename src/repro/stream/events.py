@@ -3,14 +3,17 @@
 Every producer (the interpreter, the runtime, the memory hierarchy)
 speaks one of two event vocabularies:
 
-* :class:`MemoryEvent` -- one raw reference as the program issued it
-  (byte address + size, before any cache geometry is applied).  The
-  ``kind`` encoding deliberately matches the din trace format
+* a raw reference as the program issued it (byte address + size,
+  before any cache geometry is applied), carried by :class:`RefBatch`.
+  The ``kind`` encoding deliberately matches the din trace format
   (:mod:`repro.vm.tracing`): 0 = read, 1 = write, 2 = ifetch, so a
   stream can be written straight out as a din trace.
-* :class:`LineEvent` -- one demand *line* access as the modelled
-  hierarchy resolved it (post line-splitting, with hit/miss outcomes).
-  Hardware counters and phase detectors live on this plane.
+  :class:`MemoryEvent` is its one-record form, for tests and tools
+  that collect a stream.
+* a demand *line* access as the modelled hierarchy resolved it (post
+  line-splitting, with hit/miss outcomes), carried by
+  :class:`LineBatch`.  Hardware counters and phase detectors live on
+  this plane.
 
 ``cycle`` is the machine-state cycle count at the moment the reference
 was issued -- the exact ``now`` the producing hierarchy saw -- which is
@@ -23,15 +26,13 @@ cycles reproduce the producing run's stamps verbatim).
 -- unique per pass so consumers can group references into profile rows
 without extra markers.
 
-Batches travel in structure-of-arrays form: :class:`RefBatch` and
+Batches travel in structure-of-arrays form only: :class:`RefBatch` and
 :class:`LineBatch` carry one parallel column per field instead of a
 list of per-event tuples, so producers pay five list appends per event
-and columnar consumers iterate plain int lists at C speed.  Trace ids
-are run-length encoded (they only change between trace passes): a batch
+and consumers iterate plain int lists at C speed.  Trace ids are
+run-length encoded (they only change between trace passes): a batch
 carries an interning table plus ``(start_offset, table_index)`` runs,
-never a per-event string column.  ``to_events()`` materializes the
-legacy tuple view on demand (cached per batch) for consumers that still
-implement ``on_refs``/``on_lines``.
+never a per-event string column.
 """
 
 from __future__ import annotations
@@ -63,16 +64,6 @@ class MemoryEvent(NamedTuple):
         return self.kind == KIND_IFETCH
 
 
-class LineEvent(NamedTuple):
-    """One demand line access: ``(pc, line_addr, is_write, l1_hit, l2_hit)``."""
-
-    pc: int
-    line_addr: int
-    is_write: bool
-    l1_hit: bool
-    l2_hit: bool
-
-
 class RefBatch:
     """A batch of raw references in structure-of-arrays form.
 
@@ -97,8 +88,7 @@ class RefBatch:
     """
 
     __slots__ = ("pcs", "addrs", "sizes", "kinds", "cycles",
-                 "trace_table", "trace_runs", "addr_or", "max_size",
-                 "_events")
+                 "trace_table", "trace_runs", "addr_or", "max_size")
 
     def __init__(self, pcs: List[int], addrs: List[int], sizes: List[int],
                  kinds: List[int], cycles: List[int],
@@ -115,7 +105,6 @@ class RefBatch:
         self.trace_runs = trace_runs
         self.addr_or = addr_or
         self.max_size = max_size
-        self._events: Optional[List[MemoryEvent]] = None
 
     def __len__(self) -> int:
         return len(self.pcs)
@@ -138,21 +127,11 @@ class RefBatch:
             out.extend([tid] * (stop - start))
         return out
 
-    def to_events(self) -> List[MemoryEvent]:
-        """The legacy array-of-structs view (cached on first call)."""
-        events = self._events
-        if events is None:
-            events = list(map(MemoryEvent, self.pcs, self.addrs, self.sizes,
-                              self.kinds, self.cycles, self.trace_ids()))
-            self._events = events
-        return events
-
 
 class LineBatch:
     """A batch of resolved demand line accesses, one column per field."""
 
-    __slots__ = ("pcs", "line_addrs", "writes", "l1_hits", "l2_hits",
-                 "_events")
+    __slots__ = ("pcs", "line_addrs", "writes", "l1_hits", "l2_hits")
 
     def __init__(self, pcs: List[int], line_addrs: List[int],
                  writes: List[bool], l1_hits: List[bool],
@@ -162,16 +141,6 @@ class LineBatch:
         self.writes = writes
         self.l1_hits = l1_hits
         self.l2_hits = l2_hits
-        self._events: Optional[List[LineEvent]] = None
 
     def __len__(self) -> int:
         return len(self.pcs)
-
-    def to_events(self) -> List[LineEvent]:
-        """The legacy array-of-structs view (cached on first call)."""
-        events = self._events
-        if events is None:
-            events = list(map(LineEvent, self.pcs, self.line_addrs,
-                              self.writes, self.l1_hits, self.l2_hits))
-            self._events = events
-        return events

@@ -583,7 +583,7 @@ class TestFusedMemberAttribution:
 class TestConsumerQuarantine:
     def test_hub_detaches_thrower_and_keeps_going(self, global_telemetry):
         class Boom:
-            def on_refs(self, batch):
+            def on_batch(self, batch):
                 raise RuntimeError("boom")
 
             def finish(self):
@@ -599,16 +599,16 @@ class TestConsumerQuarantine:
         assert len(survivor.events) == 2
         assert boom not in stream.consumers
         record = stream.quarantined[0]
-        assert record.consumer is boom and record.stage == "on_refs"
+        assert record.consumer is boom and record.stage == "on_batch"
         assert "RuntimeError: boom" in record.error
         assert counter("stream.quarantined") == 1
 
     def test_detach_after_quarantine_is_idempotent(self, global_telemetry):
         class Boom:
-            def on_refs(self, batch):
+            def on_batch(self, batch):
                 raise RuntimeError("boom")
 
-            def on_lines(self, batch):
+            def on_line_batch(self, batch):
                 raise RuntimeError("boom")
 
             def finish(self):

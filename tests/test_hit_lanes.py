@@ -2,11 +2,12 @@
 
 ``MemoryHierarchy.access``/``fetch`` retire single-line L1 hits inline,
 and the interpreter's LOAD/STORE retire eligible L1D hits without
-calling the hierarchy at all.  Both lanes exist only on the array cache
-engine, so the same machine built with trivial replacement-policy
-subclasses -- which force the dict engine -- runs every reference down
-the retained ``_access_line`` -> ``Cache.probe`` path: the reference
-the lanes must match exactly.
+calling the hierarchy at all.  Both lanes exist only on array
+``Cache`` levels.  The same machine built with trivial
+replacement-policy subclasses gets ``ReferenceCache`` levels from
+``make_cache``, so it runs every reference down the retained
+``_access_line`` -> ``ReferenceCache.probe`` path: the reference the
+lanes must match exactly.
 """
 
 from contextlib import contextmanager
@@ -18,6 +19,7 @@ import repro.memory.hierarchy as hierarchy_module
 from repro.engine import RunSpec
 from repro.engine.attempt import execute_spec_payload
 from repro.memory import CacheConfig
+from repro.memory.cache_reference import ReferenceCache
 from repro.memory.configs import get_machine, make_hw_prefetcher
 from repro.memory.hierarchy import MachineConfig, MemoryHierarchy
 from repro.memory.policies import BitPLRUPolicy, FIFOPolicy, LRUPolicy
@@ -44,7 +46,7 @@ _SUBCLASSES = {"lru": _LRU, "fifo": _FIFO, "plru": _PLRU}
 
 @contextmanager
 def reference_path():
-    """Every hierarchy built inside runs on the dict engine."""
+    """Every hierarchy built inside runs on ``ReferenceCache`` levels."""
     with mock.patch.object(hierarchy_module, "make_policy",
                            lambda name: _SUBCLASSES[name]()):
         yield
@@ -122,6 +124,8 @@ def test_hierarchy_lanes_match_reference_path(ops, policy, prefetcher, tlb,
         ref, ref_lines = build(machine, prefetcher, tlb, consumer)
     assert fast.l1_hit_lane() is not None or tlb or consumer
     assert ref.l1_hit_lane() is None
+    assert all(isinstance(getattr(ref, level), ReferenceCache)
+               for level in ("l1", "l2", "l1i"))
 
     assert replay(fast, ops) == replay(ref, ops)
     assert fast.counters_snapshot() == ref.counters_snapshot()

@@ -4,14 +4,15 @@ import pytest
 
 from repro.memory import (
     BitPLRUPolicy, Cache, CacheConfig, FIFOPolicy, LRUPolicy, RandomPolicy,
-    make_policy,
+    make_cache, make_policy,
 )
+from repro.memory.cache_reference import ReferenceCache
 
 
 def small_cache(assoc=2, sets=4, policy=None):
     config = CacheConfig(size=assoc * sets * 64, assoc=assoc, line_size=64,
                          hit_latency=1)
-    return Cache(config, policy or LRUPolicy())
+    return make_cache(config, policy or LRUPolicy())
 
 
 class TestCacheConfig:
@@ -132,9 +133,28 @@ class TestCacheBasics:
         cache.probe(1, False, 2)
         assert cache.stats.miss_ratio == 0.5
 
-    def test_from_spec(self):
-        cache = Cache.from_spec(size=1024, assoc=2, policy="fifo")
-        assert isinstance(cache.policy, FIFOPolicy)
+
+class TestMakeCache:
+    CONFIG = CacheConfig(size=1024, assoc=2)
+
+    @pytest.mark.parametrize("name", ["lru", "fifo", "plru"])
+    def test_array_policies_build_cache(self, name):
+        cache = make_cache(self.CONFIG, make_policy(name))
+        assert type(cache) is Cache
+        assert cache.policy.name == name
+
+    def test_other_policies_build_reference_cache(self):
+        class TunedLRU(LRUPolicy):
+            pass
+
+        for policy in (RandomPolicy(seed=1), TunedLRU()):
+            cache = make_cache(self.CONFIG, policy)
+            assert type(cache) is ReferenceCache
+            assert cache.policy is policy
+
+    def test_cache_rejects_other_policies(self):
+        with pytest.raises(TypeError, match="RandomPolicy"):
+            Cache(self.CONFIG, RandomPolicy())
 
 
 class TestPolicies:

@@ -16,11 +16,10 @@ from repro.memory import MemoryHierarchy, get_machine
 from repro.memory.flat import FlatMemory
 from repro.runners import run_native
 from repro.stream import (
-    BATCH_ENV_VAR, BATCH_SIZE, KIND_IFETCH, KIND_READ, KIND_WRITE,
-    BuildContext, CollectingRefConsumer, ConsumerRegistry, LineConsumer,
+    BATCH_SIZE, KIND_IFETCH, KIND_READ, KIND_WRITE,
+    BuildContext, CollectingRefConsumer, ConsumerRegistry,
     MemoryEvent, NullRefConsumer, RefBatch, RefConsumer, RefStream,
-    LineStream, consumer_names, create_consumer, default_batch_size,
-    spec_safe_consumer_names,
+    LineStream, consumer_names, create_consumer, spec_safe_consumer_names,
 )
 from repro.stream.consumers import DinTraceWriter
 from repro.vm import Interpreter
@@ -220,29 +219,7 @@ class TestBatchBoundaries:
 
 
 class TestBatchSizeConfiguration:
-    """Satellite: per-stream batch size plus the env override."""
-
-    def test_env_override_applies_to_new_streams(self, monkeypatch):
-        monkeypatch.setenv(BATCH_ENV_VAR, "128")
-        assert default_batch_size() == 128
-        assert RefStream().batch_size == 128
-        assert LineStream().batch_size == 128
-
-    def test_explicit_batch_size_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BATCH_ENV_VAR, "128")
-        assert RefStream(batch_size=7).batch_size == 7
-
-    def test_env_override_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv(BATCH_ENV_VAR, "many")
-        with pytest.raises(ValueError, match=BATCH_ENV_VAR):
-            default_batch_size()
-        monkeypatch.setenv(BATCH_ENV_VAR, "0")
-        with pytest.raises(ValueError, match=BATCH_ENV_VAR):
-            default_batch_size()
-
-    def test_empty_env_means_default(self, monkeypatch):
-        monkeypatch.setenv(BATCH_ENV_VAR, "")
-        assert default_batch_size() == BATCH_SIZE
+    """Satellite: per-stream batch size."""
 
     def test_hierarchy_threads_line_batch_size(self):
         machine = get_machine("pentium4", scale=16)
@@ -272,11 +249,7 @@ class TestRefBatchMechanics:
         assert batch.sizes == [8, 4]
         assert batch.kinds == [KIND_READ, KIND_WRITE]
         assert batch.cycles == [10, 11]
-        assert batch.to_events() == [
-            MemoryEvent(1, 0x100, 8, KIND_READ, 10, None),
-            MemoryEvent(2, 0x108, 4, KIND_WRITE, 11, None),
-        ]
-        assert batch.to_events() is batch.to_events()  # cached view
+        assert batch.trace_ids() == [None, None]
 
     def test_seal_statistics_cover_the_columns(self):
         def produce(stream):
@@ -478,12 +451,10 @@ class TestBuiltinConsumers:
         from repro.stream.consumers import ProfileRecorderConsumer
 
         rec = ProfileRecorderConsumer(max_ops=4, max_rows=8)
-        batch = [
-            MemoryEvent(0x10, 0x1000, 8, KIND_READ, 0, "0x10@3"),
-            MemoryEvent(0x18, 0x2000, 8, KIND_READ, 1, "0x10@3"),
-            MemoryEvent(0x10, 0x1040, 8, KIND_READ, 2, "0x10@3"),
-        ]
-        rec.on_refs(batch)
+        batch = RefBatch([0x10, 0x18, 0x10], [0x1000, 0x2000, 0x1040],
+                         [8, 8, 8], [KIND_READ] * 3, [0, 1, 2],
+                         (None, "0x10@3"), ((0, 1),))
+        rec.on_batch(batch)
         rec.finish()
         assert rec.summary() == {"traces": 1, "rows": 1}
         profile = rec.profiles["0x10"]

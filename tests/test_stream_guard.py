@@ -4,7 +4,8 @@ The reference-stream pipeline (``repro.stream``) is the only place
 memory-event fan-out may live.  This guard greps the source tree for
 the idioms the refactor deleted -- ad-hoc observer callbacks and
 observer lists -- so a regression shows up as a named file/line, not as
-silently duplicated plumbing.
+silently duplicated plumbing.  It also keeps each hot contract to one
+implementation: columnar consumer hooks only, and one ``Cache`` engine.
 """
 
 from pathlib import Path
@@ -67,5 +68,31 @@ def test_producer_hot_paths_stay_columnar():
                 offenders.append(
                     f"{path.relative_to(SRC)}:{lineno}: {line.strip()}")
     assert not offenders, (
-        "producers append columns; per-event records are for consumers "
-        "that asked for the legacy view:\n" + "\n".join(offenders))
+        "producers append columns; per-event records are for test and "
+        "debug collectors:\n" + "\n".join(offenders))
+
+
+#: Second implementations of a hot contract that no real run executes:
+#: the per-event consumer hooks and their tuple views (consumers take
+#: columnar batches only) and the dict cache engine (``Cache`` is the
+#: array engine; other policies get ``ReferenceCache`` from
+#: ``make_cache``).
+FORBIDDEN_SECOND_PATHS = ("def on_refs", "def on_lines", "to_events",
+                          "._fast")
+
+#: The array-of-structs hub, kept verbatim as the pipeline yardstick.
+SECOND_PATH_EXEMPT = {SRC / "stream" / "reference.py"}
+
+
+def test_one_implementation_per_hot_contract():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path in SECOND_PATH_EXEMPT:
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if any(token in line for token in FORBIDDEN_SECOND_PATHS):
+                offenders.append(
+                    f"{path.relative_to(SRC)}:{lineno}: {line.strip()}")
+    assert not offenders, (
+        "consumers implement on_batch/on_line_batch only, and Cache has "
+        "one engine:\n" + "\n".join(offenders))
